@@ -1,9 +1,11 @@
-# Tier-1 gate: everything must lint, build and every test must pass, the
-# two-backend fleet smoke must come up healthy behind the router, and the
-# short-benchtime perf gate must hold the hot kernels within tolerance.
+# Tier-1 gate: everything must lint, build and every test must pass — the
+# nested perfbench module's too — the two-backend fleet smoke must come up
+# healthy behind the router, and the short-benchtime perf gate must hold the
+# hot kernels within tolerance.
 test: lint
 	go build ./...
 	go test ./...
+	$(MAKE) perfbench-check
 	$(MAKE) fleet-smoke
 	$(MAKE) chaos-smoke
 	$(MAKE) sim-compile-smoke
@@ -18,6 +20,13 @@ lint:
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
 
+# The end-to-end benchmark (perfbench/, declared by BENCHMARK.json) is a
+# nested module, so the root `go test ./...` never enters it: vet and test it
+# on its own, so a change that breaks a call perfbench makes fails here and
+# not first when the benchmark runs.
+perfbench-check:
+	cd perfbench && go vet ./... && go test ./...
+
 # Kept as an alias for the vet half of lint.
 vet:
 	go vet ./...
@@ -27,7 +36,7 @@ vet:
 # the serving batcher, the lock-free metrics/tracing instruments) must be
 # clean under the race detector — including the scratch-arena plumbing
 # underneath them (counting, crossbar adder, NDCAM) and the per-batch CAM
-# lookup cache each InferBatch worker arms on its own Scratch
+# lookup cache each InferBatchStats worker arms on its own Scratch
 # (TestInferBatchCAMCacheConcurrent) — and the compilation pass's parallel
 # candidate scoring (internal/accel/compile).
 race:
@@ -56,13 +65,12 @@ bench-serve:
 	go test -run '^$$' -bench BenchmarkServeBatching -benchtime 2000x ./internal/serve/
 
 # Hot-path microbenchmarks with allocation counts: the neuron fire, the
-# pooling window, the in-memory adder, the NDCAM search, batched hardware
-# inference, the serve round-trip, and artifact cold start (gob decode vs
-# RAPIDNN2 mmap). BENCH_PR9.json pins the expected numbers; bench-compare
+# in-memory adder, the NDCAM search, batched hardware inference, the serve
+# round-trip, and artifact cold start (gob decode vs RAPIDNN2 mmap). BENCH_PR9.json pins the expected numbers; bench-compare
 # re-runs this set and fails on regression. (BENCH_PR4.json stays committed
 # as the pre-bit-slicing trajectory point.) Regenerate the baseline with
 # bench-hot piped through rapidnn-benchstat -before/-after.
-HOT_BENCHES = BenchmarkNeuronFire|BenchmarkMaxPool|BenchmarkAddMany1024|BenchmarkAddScratch1024|BenchmarkSearchAllocs|BenchmarkHardwareInferBatch|BenchmarkServeRoundTrip|BenchmarkColdStart
+HOT_BENCHES = BenchmarkNeuronFire|BenchmarkAddScratch1024|BenchmarkSearchAllocs|BenchmarkHardwareInferBatch|BenchmarkServeRoundTrip|BenchmarkColdStart
 HOT_PKGS = ./internal/rna/ ./internal/crossbar/ ./internal/ndcam/ ./internal/serve/ ./internal/composer/
 
 bench-hot:
@@ -164,4 +172,4 @@ sim-compile-smoke:
 
 check: test vet race
 
-.PHONY: test lint vet race fuzz bench-parallel bench-serve bench-hot bench-cold bench-compare bench-gate serve-smoke fleet-smoke chaos-smoke sim-compile-smoke check
+.PHONY: test lint vet perfbench-check race fuzz bench-parallel bench-serve bench-hot bench-cold bench-compare bench-gate serve-smoke fleet-smoke chaos-smoke sim-compile-smoke check

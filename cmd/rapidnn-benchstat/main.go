@@ -58,9 +58,17 @@ type Baseline struct {
 // testing package appends to benchmark names.
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
+// duplicateSuffix matches the "#NN" the testing package appends when two
+// benchmarks of one run share a name (two b.Run calls with equal names). Such
+// a row measures whatever happened to run second under the first one's name,
+// so it cannot be compared against a baseline. -count repeats keep the plain
+// name and are merged instead.
+var duplicateSuffix = regexp.MustCompile(`#\d+$`)
+
 // parseBench reads `go test -bench -benchmem` output and returns the metrics
 // keyed by benchmark name (GOMAXPROCS suffix stripped, "Benchmark" prefix
-// kept off). Repeated names keep the last occurrence.
+// kept off). Repeated names — go test -count N — keep the fastest sample.
+// A name carrying go test's "#NN" duplicate-name suffix is an error.
 func parseBench(r io.Reader) (map[string]Metrics, []string, error) {
 	out := map[string]Metrics{}
 	var order []string
@@ -74,6 +82,10 @@ func parseBench(r io.Reader) (map[string]Metrics, []string, error) {
 		iters, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
 			continue
+		}
+		if duplicateSuffix.MatchString(name) {
+			return nil, nil, fmt.Errorf("benchmark %s: two benchmarks of one run share a name (go test added the %q suffix)",
+				name, duplicateSuffix.FindString(name))
 		}
 		m := Metrics{Iterations: iters}
 		for i := 2; i+1 < len(fields); i += 2 {

@@ -99,7 +99,7 @@ func main() {
 	in := ds.InSize()
 	hw.Workers = *workers
 	sample := tensor.FromSlice(ds.TestX.Data()[:n*in], n, in)
-	hwPreds, err := hw.InferBatch(sample)
+	hwPreds, hwStats, err := hw.InferBatchStats(sample)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rapidnn-infer: %v\n", err)
 		os.Exit(1)
@@ -118,7 +118,7 @@ func main() {
 	fmt.Printf("  hardware/software agreement: %d/%d\n", agree, n)
 	fmt.Printf("  hardware accuracy:           %d/%d\n", correct, n)
 	fmt.Printf("  substrate activity: %d NOR cycles, %d operand writes, %.2f nJ in the crossbars\n",
-		hw.Stats.NORs, hw.Stats.Writes, hw.Stats.EnergyJ*1e9)
+		hwStats.NORs, hwStats.Writes, hwStats.EnergyJ*1e9)
 }
 
 // bulkScore streams the feature file through the reinterpreted model in

@@ -238,7 +238,7 @@ func main() {
 	}
 
 	if *stream > 0 {
-		pipe, err := accel.SimulatePipeline(hb.Plans, *stream, cfg)
+		pipe, err := accel.SimulateStages(accel.DefaultStages(hb.Plans, cfg), *stream, cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "rapidnn-sim: %v\n", err)
 			os.Exit(1)

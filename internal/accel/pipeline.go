@@ -1,10 +1,6 @@
 package accel
 
-import (
-	"fmt"
-
-	"repro/internal/composer"
-)
+import "fmt"
 
 // This file is a discrete-event simulation of the §4.3 pipeline: layers are
 // stages connected by tile broadcast buffers, and a stream of inputs flows
@@ -38,19 +34,10 @@ type PipelineResult struct {
 	ThroughputIPS float64
 }
 
-// SimulatePipeline streams `inputs` consecutive inferences through the layer
-// stages of the planned network under the uncompiled mapping (the config's
-// uniform sharing, no replication). See SimulateStages for the general form.
-func SimulatePipeline(plans []*composer.LayerPlan, inputs int, cfg Config) (*PipelineResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	return SimulateStages(DefaultStages(plans, cfg), inputs, cfg)
-}
-
 // SimulateStages streams `inputs` consecutive inferences through an explicit
-// stage list — the event-simulation half of the compilation pass's
-// validation contract. Stage s of input i can start only when (a) stage s
+// stage list — DefaultStages for the uncompiled mapping (the config's uniform
+// sharing, no replication), a compiled schedule's stages otherwise. It is the
+// event-simulation half of the compilation pass's validation contract. Stage s of input i can start only when (a) stage s
 // finished input i−1 (the RNA blocks are busy until then) and (b) stage s−1
 // finished input i (its operands are in the broadcast buffer) — the classic
 // pipeline recurrence. Per-stage cycle counts (sharing stretch, replication

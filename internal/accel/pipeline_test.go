@@ -15,7 +15,7 @@ func TestPipelineSingleInputLatencyMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := SimulatePipeline(plans, 1, DefaultConfig())
+	pipe, err := SimulateStages(DefaultStages(plans, DefaultConfig()), 1, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestPipelineSteadyStateMatchesAnalyticThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := SimulatePipeline(plans, 50, DefaultConfig())
+	pipe, err := SimulateStages(DefaultStages(plans, DefaultConfig()), 50, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestPipelineSteadyStateMatchesAnalyticThroughput(t *testing.T) {
 // input, and events are causally ordered.
 func TestPipelineCausality(t *testing.T) {
 	plans, _ := convPlans()
-	pipe, err := SimulatePipeline(plans, 12, DefaultConfig())
+	pipe, err := SimulateStages(DefaultStages(plans, DefaultConfig()), 12, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestPipelineCausality(t *testing.T) {
 func TestPipelineOverlapsInputs(t *testing.T) {
 	plans, _ := fcPlans()
 	const n = 40
-	pipe, err := SimulatePipeline(plans, n, DefaultConfig())
+	pipe, err := SimulateStages(DefaultStages(plans, DefaultConfig()), n, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,15 +100,15 @@ func TestPipelineOverlapsInputs(t *testing.T) {
 
 func TestPipelineValidation(t *testing.T) {
 	plans, _ := fcPlans()
-	if _, err := SimulatePipeline(plans, 0, DefaultConfig()); err == nil {
+	if _, err := SimulateStages(DefaultStages(plans, DefaultConfig()), 0, DefaultConfig()); err == nil {
 		t.Fatal("zero inputs must error")
 	}
-	if _, err := SimulatePipeline(nil, 1, DefaultConfig()); err == nil {
+	if _, err := SimulateStages(DefaultStages(nil, DefaultConfig()), 1, DefaultConfig()); err == nil {
 		t.Fatal("no stages must error")
 	}
 	bad := DefaultConfig()
 	bad.Chips = 0
-	if _, err := SimulatePipeline(plans, 1, bad); err == nil {
+	if _, err := SimulateStages(DefaultStages(plans, bad), 1, bad); err == nil {
 		t.Fatal("bad config must error")
 	}
 }
@@ -120,7 +120,7 @@ func TestPipelineMultiplexConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := SimulatePipeline(plans, 8, DefaultConfig())
+	pipe, err := SimulateStages(DefaultStages(plans, DefaultConfig()), 8, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestPipelineEventCount(t *testing.T) {
 			stages++
 		}
 	}
-	pipe, err := SimulatePipeline(plans, 7, DefaultConfig())
+	pipe, err := SimulateStages(DefaultStages(plans, DefaultConfig()), 7, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestPipelineEventCount(t *testing.T) {
 
 func TestWriteChromeTrace(t *testing.T) {
 	plans, _ := fcPlans()
-	pipe, err := SimulatePipeline(plans, 3, DefaultConfig())
+	pipe, err := SimulateStages(DefaultStages(plans, DefaultConfig()), 3, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

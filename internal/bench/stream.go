@@ -120,7 +120,7 @@ func indexByte(b []byte, c byte) int {
 }
 
 // ScoreFunc classifies one packed batch. Both execution paths provide one:
-// Reinterpreted.Predict (wrapped) and HardwareNetwork.InferBatch.
+// Reinterpreted.Predict and HardwareNetwork.InferBatchStats (both wrapped).
 type ScoreFunc func(x *tensor.Tensor) ([]int, error)
 
 // BulkScore drains rr, packing up to batch rows at a time into one reused

@@ -182,7 +182,8 @@ func bytesI64(b []byte) []int64 {
 
 // productTable pre-computes the crossbar product table for one codebook pair
 // at compose time — entry (w,u) at [w·len(ucb)+u]. quant.ToFixed keeps it
-// bit-identical to what rna.NewFuncRNA would derive at lowering time.
+// bit-identical to the table rna.NewFuncRNAShared derives at lowering time
+// when it is handed no table to borrow.
 func productTable(wcb, ucb []float32, frac uint) []int64 {
 	t := make([]int64, len(wcb)*len(ucb))
 	for wi, wv := range wcb {

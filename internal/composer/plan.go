@@ -73,10 +73,10 @@ type LayerPlan struct {
 	// RAPIDNN2 artifact, one stride-indexed [len(wcb)·len(ucb)] table per
 	// weight-codebook group, at ProductFracBits fractional bits. Populated
 	// only by the flat loader, where each table is a read-only view into the
-	// mapped file — the hardware lowering borrows it instead of recomputing
-	// (see rna.NewFuncRNAShared); everything else leaves it nil. Borrowed
-	// tables are owned by the artifact mapping: they stay valid until the
-	// loading Composed's Close.
+	// mapped file — rna.BuildHardwareNetwork hands it to each block's
+	// constructor (rna.NewFuncRNAShared) to borrow instead of recomputing;
+	// everything else leaves it nil. Borrowed tables are owned by the
+	// artifact mapping: they stay valid until the loading Composed's Close.
 	Products        [][]int64
 	ProductFracBits uint
 

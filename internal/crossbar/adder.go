@@ -2,194 +2,29 @@ package crossbar
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/device"
 )
 
-// This file implements the in-memory adder of §4.1.2 at two fidelity levels
-// that are bit-identical in both sums and Stats:
-//
-//   - AddManyReference simulates every NOR gate through a Crossbar: carry-save
-//     3:2 compression reduces the operand population without carry
-//     propagation, and a final NOR-decomposed ripple adder resolves the two
-//     survivors, each gate charging its cycle/energy cost as it fires. It is
-//     the in-tree oracle.
-//   - AddScratch.AddMany (and the package-level AddMany wrapper) is the
-//     bit-sliced production kernel: because the crossbar's NOR already acts
-//     on whole 64-bit rows, one 3:2 compression step is three word
-//     operations (s = x⊕y⊕z, c = maj(x,y,z)≪1) instead of ~18 simulated NOR
-//     row-ops, and the final ripple stage is one carry-propagate word add.
-//     The NOR schedule — and therefore the Stats — depends only on the
-//     operand population and width, never on the data, so the kernel charges
-//     Stats from a memoized schedule table (one scalar reference walk per
-//     population, then lookups) rather than gate by gate.
+// This file implements the in-memory adder of §4.1.2 as a bit-sliced
+// kernel. Carry-save 3:2 compression reduces the operand population without
+// carry propagation, and a final NOR-decomposed ripple adder resolves the two
+// survivors. Because the crossbar's NOR acts on whole 64-bit rows, one 3:2
+// compression step is three word operations (s = x⊕y⊕z, c = maj(x,y,z)≪1)
+// instead of ~18 simulated NOR row-ops, and the final ripple stage is one
+// carry-propagate word add. The NOR schedule — and therefore the Stats —
+// depends only on the operand population and width, never on the data, so
+// the kernel charges Stats from a memoized schedule table rather than gate by
+// gate. The gate-level oracle (oracle_test.go) fires every NOR through a
+// simulated crossbar; sums and Stats are pinned bit-identical to it.
 
-// norScratch reserves scratch rows at the top of the crossbar.
-type adder struct {
-	c    *Crossbar
-	next int // next free scratch row
-	base int
-}
-
-func (a *adder) temp() int {
-	if a.next >= a.c.Rows() {
-		panic("crossbar: out of scratch rows")
-	}
-	r := a.next
-	a.next++
-	return r
-}
-
-func (a *adder) release(to int) { a.next = to }
-
-// or computes dst = x ∨ y with 2 NORs.
-func (a *adder) or(dst, x, y int) {
-	t := a.temp()
-	a.c.NOR(t, x, y)
-	a.c.NOT(dst, t)
-}
-
-// and computes dst = x ∧ y with 3 NORs.
-func (a *adder) and(dst, x, y int) {
-	tx, ty := a.temp(), a.temp()
-	a.c.NOT(tx, x)
-	a.c.NOT(ty, y)
-	a.c.NOR(dst, tx, ty)
-}
-
-// xor computes dst = x ⊕ y with 5 NORs: the 4-gate NOR network
-// NOR(NOR(x,n), NOR(y,n)) with n = NOR(x,y) yields XNOR; a final
-// inversion gives XOR.
-func (a *adder) xor(dst, x, y int) {
-	n, p, q, xn := a.temp(), a.temp(), a.temp(), a.temp()
-	a.c.NOR(n, x, y)
-	a.c.NOR(p, x, n)
-	a.c.NOR(q, y, n)
-	a.c.NOR(xn, p, q)
-	a.c.NOT(dst, xn)
-}
-
-// compress3to2 reduces rows x, y, z to a sum row and a carry row
-// (carry already shifted left): s = x⊕y⊕z, c = maj(x,y,z)<<1.
-func (a *adder) compress3to2(x, y, z, sumOut, carryOut int) {
-	mark := a.next
-	t := a.temp()
-	a.xor(t, x, y)
-	a.xor(sumOut, t, z)
-	// maj = (x∧y) ∨ (z∧(x⊕y)) — reuses the xor intermediate t.
-	xy, zt, maj := a.temp(), a.temp(), a.temp()
-	a.and(xy, x, y)
-	a.and(zt, z, t)
-	a.or(maj, xy, zt)
-	a.c.ShiftLeft(carryOut, maj)
-	a.release(mark)
-}
-
-// compressGates is the NOR count of one compress3to2: two 5-gate XORs, two
-// 3-gate ANDs and one 2-gate OR. The shift is wiring (one cycle, no gate).
+// compressGates is the NOR count of one 3:2 compression: two 5-gate XORs,
+// two 3-gate ANDs and one 2-gate OR. The carry shift is wiring (one cycle,
+// no gate).
 const compressGates = 18
 
 // fullAdderGates is the NOR count of one ripple-stage full adder per bit.
 const fullAdderGates = 9
-
-// rippleAdd resolves two rows into their full sum using a NOR-decomposed
-// full adder per bit position. The result lands in sumOut. This is the
-// carry-propagating final stage whose latency the paper models as 13·N
-// cycles.
-func (a *adder) rippleAdd(x, y, sumOut int) {
-	c := a.c
-	width := c.Width()
-	var carry uint64
-	xv, yv := c.rows[x], c.rows[y]
-	var out uint64
-	for i := 0; i < width; i++ {
-		xb := (xv >> i) & 1
-		yb := (yv >> i) & 1
-		// Full adder at bit level through the same NOR costing: a full adder
-		// is 9 NOR gates; charge them so the energy model sees real work.
-		s := xb ^ yb ^ carry
-		carry = (xb & yb) | (carry & (xb ^ yb))
-		out |= s << i
-		c.Stats.NORs += fullAdderGates
-		c.Stats.Cycles += int64(c.dev.AddFinalCyclesPerBit)
-		c.Stats.EnergyJ += fullAdderGates * c.dev.NOREnergy
-	}
-	c.rows[sumOut] = out & c.mask
-}
-
-// AddManyReference sums the given values through the full gate-level
-// simulation: every NOR of the carry-save tree and the ripple stage runs on
-// a Crossbar and charges its own cycle/energy. It allocates its working set
-// afresh per call and exists as the scalar oracle the bit-sliced kernel is
-// pinned against — production paths call AddMany / AddScratch.AddMany.
-func AddManyReference(dev device.Params, values []uint64, width int) (sum uint64, stats Stats) {
-	if len(values) == 0 {
-		return 0, Stats{}
-	}
-	if width < 1 || width > 64 {
-		panic(fmt.Sprintf("crossbar: width %d out of [1,64]", width))
-	}
-	// Enough rows for operands plus generous scratch. Stale row contents are
-	// harmless: every scratch row is written before it is read.
-	rows := make([]uint64, 2*len(values)+32)
-	mask := ^uint64(0)
-	if width < 64 {
-		mask = (1 << width) - 1
-	}
-	c := Crossbar{dev: dev, width: width, mask: mask, rows: rows}
-	for i, v := range values {
-		c.Write(i, v)
-	}
-	live := make([]int, len(values))
-	for i := range values {
-		live[i] = i
-	}
-	a := adder{c: &c, next: len(values), base: len(values)}
-	spare := make([]int, 0, len(values))
-	for len(live) > 2 {
-		next := spare[:0]
-		i := 0
-		for ; i+2 < len(live); i += 3 {
-			mark := a.next
-			sr, cr := a.temp(), a.temp()
-			a.next = mark + 2
-			a.compress3to2(live[i], live[i+1], live[i+2], sr, cr)
-			next = append(next, sr, cr)
-		}
-		next = append(next, live[i:]...)
-		// Compact survivors to the front so scratch space is reusable.
-		for j, r := range next {
-			c.rows[j] = c.rows[r]
-			next[j] = j
-		}
-		a.release(len(next))
-		spare, live = live, next
-	}
-	if len(live) == 1 {
-		return c.rows[live[0]], c.Stats
-	}
-	out := a.temp()
-	a.rippleAdd(live[0], live[1], out)
-	return c.rows[out], c.Stats
-}
-
-// addPool backs the zero-config AddMany: pooled scratches keep their
-// memoized schedule tables warm across calls, so even callers that never
-// thread an AddScratch pay the scalar reference walk only on the first
-// sighting of an operand population.
-var addPool = sync.Pool{New: func() any { return new(AddScratch) }}
-
-// AddMany sums the given values inside the crossbar and returns the result
-// modulo 2^width, bit-identical — sum and Stats — to AddManyReference's
-// gate-level walk. Each call borrows a pooled working set; hot loops own an
-// AddScratch instead.
-func AddMany(dev device.Params, values []uint64, width int) (sum uint64, stats Stats) {
-	s := addPool.Get().(*AddScratch)
-	sum, stats = s.AddMany(dev, values, width)
-	addPool.Put(s)
-	return sum, stats
-}
 
 // AddScratch is the reusable working set of the in-memory adder: the
 // word-parallel compression buffer plus the memoized schedule-shape table
@@ -210,9 +45,9 @@ type AddScratch struct {
 }
 
 // schedule returns the Stats of an n-operand, width-bit addition, replaying
-// the scalar gate walk once per (population, device, width) and serving every
+// the gate schedule once per (population, device, width) and serving every
 // later call from the cache. The replay accrues cycles and energy in exactly
-// the gate order AddManyReference uses, so cached Stats are bit-identical to
+// the gate order of the gate-level walk, so cached Stats are bit-identical to
 // the simulated ones (float accumulation order included).
 func (s *AddScratch) schedule(dev device.Params, n, width int) Stats {
 	if s.schedDev != dev || s.schedWidth != width {
@@ -226,7 +61,7 @@ func (s *AddScratch) schedule(dev device.Params, n, width int) Stats {
 		return s.sched[n]
 	}
 	var st Stats
-	// Operand writes, one per value (Crossbar.Write).
+	// Operand writes, one per value.
 	writeEnergy := float64(width) * dev.CrossbarWriteEnergy
 	for i := 0; i < n; i++ {
 		st.Writes++
@@ -273,8 +108,9 @@ func (s *AddScratch) schedule(dev device.Params, n, width int) Stats {
 // compression (three word ops per triple — the same whole-row values the NOR
 // network produces, without simulating its gates) followed by one
 // carry-propagate word add for the final stage, with the Stats charged from
-// the memoized schedule table. Sum and Stats are bit-identical to
-// AddManyReference; steady state performs zero allocations.
+// the memoized schedule table. It returns the sum modulo 2^width; sum and
+// Stats are bit-identical to the gate-level walk, and steady state performs
+// zero allocations.
 func (s *AddScratch) AddMany(dev device.Params, values []uint64, width int) (sum uint64, stats Stats) {
 	if len(values) == 0 {
 		return 0, Stats{}

@@ -30,10 +30,10 @@ func TestAddManyMatchesReference(t *testing.T) {
 		if gotStats != wantStats {
 			t.Fatalf("trial %d (n=%d, width=%d): bit-sliced stats %+v, reference %+v", trial, n, width, gotStats, wantStats)
 		}
-		// The allocate-fresh wrapper is the same kernel.
-		wSum, wStats := AddMany(dev(), vals, width)
+		// A fresh scratch is the same kernel.
+		wSum, wStats := addMany(vals, width)
 		if wSum != wantSum || wStats != wantStats {
-			t.Fatalf("trial %d: AddMany wrapper diverged from reference", trial)
+			t.Fatalf("trial %d: fresh-scratch AddMany diverged from reference", trial)
 		}
 	}
 }

@@ -1,13 +1,15 @@
 // Package crossbar models the memristor crossbar memory of an RNA block
 // (§4.1.2): single-level bipolar resistive cells storing the pre-computed
 // multiplication results, with in-memory addition executed as a sequence of
-// row-parallel NOR operations (MAGIC-style memristor-aided logic). Every
-// primitive is charged cycles and energy from the device parameter model, so
-// the functional simulation doubles as the timing/energy simulation.
+// row-parallel NOR operations (MAGIC-style memristor-aided logic). The adder
+// charges every NOR, write and row copy of its schedule cycles and energy
+// from the device parameter model, so the functional simulation doubles as
+// the timing/energy simulation. The gate-level crossbar that fires those
+// NORs one by one lives in the package tests, as the oracle the bit-sliced
+// adder is pinned against.
 package crossbar
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/device"
@@ -20,78 +22,6 @@ type Stats struct {
 	Reads   int64
 	Writes  int64
 	EnergyJ float64
-}
-
-// Crossbar is a bank of memory rows, each holding up to 64 bits. A row-wise
-// NOR combines two rows into a third in one cycle, the primitive the
-// in-memory adder is decomposed into (§4.1.2, [41]).
-type Crossbar struct {
-	dev   device.Params
-	width int
-	mask  uint64
-	rows  []uint64
-	Stats Stats
-}
-
-// New creates a crossbar with the given row count and bit width (≤64).
-func New(dev device.Params, rows, width int) *Crossbar {
-	if width < 1 || width > 64 {
-		panic(fmt.Sprintf("crossbar: width %d out of [1,64]", width))
-	}
-	if rows < 1 {
-		panic(fmt.Sprintf("crossbar: rows %d", rows))
-	}
-	mask := ^uint64(0)
-	if width < 64 {
-		mask = (1 << width) - 1
-	}
-	return &Crossbar{dev: dev, width: width, mask: mask, rows: make([]uint64, rows)}
-}
-
-// Rows returns the row count.
-func (c *Crossbar) Rows() int { return len(c.rows) }
-
-// Width returns the bit width of each row.
-func (c *Crossbar) Width() int { return c.width }
-
-// Write programs a row with a value, charging per-bit write energy (NVM
-// writes are the expensive reconfiguration path, §5.5's multiplexing cost).
-func (c *Crossbar) Write(row int, v uint64) {
-	c.rows[row] = v & c.mask
-	c.Stats.Writes++
-	c.Stats.Cycles++
-	c.Stats.EnergyJ += float64(c.width) * c.dev.CrossbarWriteEnergy
-}
-
-// Read fetches a row value (a pre-stored product lookup).
-func (c *Crossbar) Read(row int) uint64 {
-	c.Stats.Reads++
-	c.Stats.Cycles++
-	c.Stats.EnergyJ += c.dev.CrossbarReadEnergy
-	return c.rows[row]
-}
-
-// Peek returns a row without charging cycles/energy (test inspection).
-func (c *Crossbar) Peek(row int) uint64 { return c.rows[row] }
-
-// NOR computes rows[dst] = ¬(rows[a] ∨ rows[b]) across all bit positions in
-// one cycle — the single-cycle memristive NOR of [41].
-func (c *Crossbar) NOR(dst, a, b int) {
-	c.rows[dst] = ^(c.rows[a] | c.rows[b]) & c.mask
-	c.Stats.NORs++
-	c.Stats.Cycles++
-	c.Stats.EnergyJ += c.dev.NOREnergy
-}
-
-// NOT computes rows[dst] = ¬rows[a] (a NOR with itself).
-func (c *Crossbar) NOT(dst, a int) { c.NOR(dst, a, a) }
-
-// ShiftLeft moves a row one bit towards the MSB. In the crossbar this is
-// pure wiring between adjacent bit-lines, so it costs no NOR cycle; we
-// charge one cycle for the row copy.
-func (c *Crossbar) ShiftLeft(dst, a int) {
-	c.rows[dst] = (c.rows[a] << 1) & c.mask
-	c.Stats.Cycles++
 }
 
 // TreeStages returns the number of carry-save reduction stages the paper's

@@ -70,27 +70,32 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// addMany is the production adder on a fresh scratch.
+func addMany(values []uint64, width int) (uint64, Stats) {
+	return new(AddScratch).AddMany(dev(), values, width)
+}
+
 func TestAddManySmall(t *testing.T) {
-	sum, _ := AddMany(dev(), []uint64{1, 2, 3, 4, 5}, 16)
+	sum, _ := addMany([]uint64{1, 2, 3, 4, 5}, 16)
 	if sum != 15 {
 		t.Fatalf("AddMany = %d, want 15", sum)
 	}
 }
 
 func TestAddManySingleAndPair(t *testing.T) {
-	if s, _ := AddMany(dev(), []uint64{7}, 8); s != 7 {
+	if s, _ := addMany([]uint64{7}, 8); s != 7 {
 		t.Fatalf("single = %d", s)
 	}
-	if s, _ := AddMany(dev(), []uint64{7, 9}, 8); s != 16 {
+	if s, _ := addMany([]uint64{7, 9}, 8); s != 16 {
 		t.Fatalf("pair = %d", s)
 	}
-	if s, _ := AddMany(dev(), nil, 8); s != 0 {
+	if s, _ := addMany(nil, 8); s != 0 {
 		t.Fatalf("empty = %d", s)
 	}
 }
 
 func TestAddManyWrapsModuloWidth(t *testing.T) {
-	sum, _ := AddMany(dev(), []uint64{200, 100}, 8)
+	sum, _ := addMany([]uint64{200, 100}, 8)
 	if sum != (300 % 256) {
 		t.Fatalf("AddMany mod 2^8 = %d, want 44", sum)
 	}
@@ -108,7 +113,7 @@ func TestAddManyMatchesNativeProperty(t *testing.T) {
 			vals[i] = uint64(rng.Intn(1 << 16))
 			want += vals[i]
 		}
-		got, _ := AddMany(dev(), vals, 32)
+		got, _ := addMany(vals, 32)
 		return got == want&((1<<32)-1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -130,7 +135,7 @@ func TestAddManyMatchesNativeAnyWidthProperty(t *testing.T) {
 			vals[i] = rng.Uint64()
 			want += vals[i]
 		}
-		got, _ := AddMany(dev(), vals, width)
+		got, _ := addMany(vals, width)
 		mask := uint64(1)<<width - 1
 		if width == 64 {
 			mask = ^uint64(0)
@@ -143,8 +148,8 @@ func TestAddManyMatchesNativeAnyWidthProperty(t *testing.T) {
 }
 
 func TestAddManyChargesWork(t *testing.T) {
-	_, small := AddMany(dev(), []uint64{1, 2, 3}, 16)
-	_, big := AddMany(dev(), make([]uint64, 64), 16)
+	_, small := addMany([]uint64{1, 2, 3}, 16)
+	_, big := addMany(make([]uint64, 64), 16)
 	if big.NORs <= small.NORs {
 		t.Fatalf("64-operand add used %d NORs, 3-operand used %d", big.NORs, small.NORs)
 	}
@@ -189,18 +194,5 @@ func TestAddCyclesMonotone(t *testing.T) {
 	}
 	if AddCycles(d, 64, 32) <= AddCycles(d, 64, 16) {
 		t.Fatal("wider operands must cost more final-stage cycles")
-	}
-}
-
-func BenchmarkAddMany1024(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	vals := make([]uint64, 1024)
-	for i := range vals {
-		vals[i] = uint64(rng.Intn(1 << 10))
-	}
-	d := dev()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AddMany(d, vals, 32)
 	}
 }

@@ -6,10 +6,10 @@ import (
 )
 
 // An AddScratch is a working set, not a semantic: across random operand
-// populations — including sequences that grow and shrink the buffers — the
-// scratch form must return exactly the sum and Stats of the allocate-fresh
-// AddMany. The NOR schedule depends only on the operand count and width, so
-// buffer history is invisible.
+// populations — including sequences that grow and shrink the buffers — a
+// reused scratch must return exactly the sum and Stats of a fresh one. The
+// NOR schedule depends only on the operand count and width, so buffer
+// history is invisible.
 func TestAddScratchMatchesAddMany(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var s AddScratch
@@ -20,7 +20,7 @@ func TestAddScratchMatchesAddMany(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.Uint64()
 		}
-		wantSum, wantStats := AddMany(dev(), vals, width)
+		wantSum, wantStats := addMany(vals, width)
 		gotSum, gotStats := s.AddMany(dev(), vals, width)
 		if gotSum != wantSum {
 			t.Fatalf("trial %d (n=%d, width=%d): scratch sum %d, fresh sum %d", trial, n, width, gotSum, wantSum)
@@ -49,9 +49,8 @@ func TestAddScratchZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkAddScratch1024 is BenchmarkAddMany1024 with a reused scratch —
-// the form the RNA hot path uses. Compare the two to see what the working
-// set's reuse is worth.
+// BenchmarkAddScratch1024 measures a 1024-operand addition on a reused
+// scratch — the form the RNA hot path uses.
 func BenchmarkAddScratch1024(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	vals := make([]uint64, 1024)

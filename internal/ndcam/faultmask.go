@@ -5,14 +5,12 @@ import (
 	"math/bits"
 )
 
-// FaultMask is the word-parallel compilation of a []RowFault overlay. The
-// scalar overlay path (SearchStatsFaultyBuf) re-classifies every row on every
-// search; a fault map is drawn once and searched millions of times, so
-// BuildFaultMask folds the classification into bitsets up front: one uint64
-// word covers 64 rows of dead-row exclusions, and the lowest shorted row —
-// the only one that can ever win — is a single precomputed index. Searching
-// under the mask needs no candidate bookkeeping at all, which also retires
-// the per-search scratch buffer the scalar path required.
+// FaultMask is the word-parallel compilation of a []RowFault overlay. A
+// fault map is drawn once and searched millions of times, so BuildFaultMask
+// folds the per-row classification into bitsets up front: one uint64 word
+// covers 64 rows of dead-row exclusions, and the lowest shorted row — the
+// only one that can ever win — is a single precomputed index. Searching under
+// the mask needs no candidate bookkeeping at all.
 //
 // A FaultMask is immutable after build and safe for concurrent searches.
 type FaultMask struct {
@@ -34,7 +32,7 @@ type FaultMask struct {
 
 // BuildFaultMask compiles a row-fault overlay into its word-parallel form.
 // A nil return (for a nil/empty or all-RowOK overlay) means "no overlay";
-// SearchStatsMasked treats it as the pristine search.
+// Search treats it as the pristine search.
 func BuildFaultMask(rf []RowFault) *FaultMask {
 	if len(rf) == 0 {
 		return nil
@@ -67,29 +65,16 @@ func BuildFaultMask(rf []RowFault) *FaultMask {
 	return fm
 }
 
-// SearchStatsMasked is SearchStatsFaulty with the overlay pre-compiled: same
-// winner, same Stats, for the overlay the mask was built from. The scan
-// walks the alive bitset with trailing-zero iteration instead of
-// re-classifying rows, so the overlay search costs barely more than the
-// pristine one and performs zero allocations. Safe for concurrent use
-// alongside other searches.
-func (n *NDCAM) SearchStatsMasked(query uint64, fm *FaultMask) (int, Stats) {
-	if len(n.rows) == 0 {
-		panic("ndcam: search on empty CAM")
-	}
-	stats := Stats{
-		Searches: 1,
-		Cycles:   int64(n.Stages() * n.dev.AMSearchCycles),
-		EnergyJ:  n.dev.AMSearchEnergy * float64(len(n.rows)) / float64(n.dev.AMRows),
-	}
-	if fm == nil {
-		return n.searchPristine(query), stats
-	}
+// searchMasked is Search's overlay path: the scan walks the alive bitset
+// with trailing-zero iteration instead of re-classifying rows, so the overlay
+// search costs barely more than the pristine one and allocates nothing. The
+// rows beyond the overlay's length are healthy.
+func (n *NDCAM) searchMasked(query uint64, fm *FaultMask) int {
 	if fm.firstShort >= 0 && fm.firstShort < len(n.rows) {
-		return fm.firstShort, stats
+		return fm.firstShort
 	}
 	if !fm.anyDead {
-		return n.searchPristine(query), stats
+		return n.searchPristine(query)
 	}
 	query &= n.mask()
 	rows := n.rows
@@ -144,7 +129,7 @@ func (n *NDCAM) SearchStatsMasked(query uint64, fm *FaultMask) (int, Stats) {
 	}
 	if best < 0 {
 		// Every row excluded: the sense amplifier latches its default.
-		return 0, stats
+		return 0
 	}
-	return best, stats
+	return best
 }

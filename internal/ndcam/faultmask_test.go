@@ -21,8 +21,8 @@ func randomFaults(rng *rand.Rand, n int, deadRate, shortRate float64) []RowFault
 	return rf
 }
 
-// SearchStatsMasked under a compiled overlay must return exactly what the
-// scalar per-row classification returns — winner and Stats — across modes,
+// Search under a compiled overlay must return exactly what the scalar
+// per-row classification oracle returns — winner and Stats — across modes,
 // widths, overlay lengths (shorter, equal, and longer than the bank) and
 // fault densities, including the degenerate all-dead and all-OK overlays.
 func TestSearchStatsMaskedMatchesOracle(t *testing.T) {
@@ -47,8 +47,8 @@ func TestSearchStatsMaskedMatchesOracle(t *testing.T) {
 			rf := randomFaults(rng, rfLen, deadRate, shortRate)
 			fm := BuildFaultMask(rf)
 			q := rng.Uint64()
-			wantRow, wantStats := cam.SearchStatsFaulty(q, rf)
-			gotRow, gotStats := cam.SearchStatsMasked(q, fm)
+			wantRow, wantStats := cam.searchOracle(q, rf)
+			gotRow, gotStats := cam.Search(q, fm)
 			if gotRow != wantRow || gotStats != wantStats {
 				t.Fatalf("%v trial %d (bits=%d, rows=%d, rf=%d): masked (%d, %+v) vs scalar (%d, %+v)",
 					mode, trial, bits, n, rfLen, gotRow, gotStats, wantRow, wantStats)
@@ -57,8 +57,8 @@ func TestSearchStatsMaskedMatchesOracle(t *testing.T) {
 	}
 }
 
-// An all-RowOK overlay compiles to a nil mask and the masked search must be
-// the pristine search bit-for-bit.
+// An all-RowOK overlay compiles to a nil mask, and the nil-mask search must
+// be the oracle's fault-free search bit-for-bit.
 func TestBuildFaultMaskNoOp(t *testing.T) {
 	if fm := BuildFaultMask(nil); fm != nil {
 		t.Fatalf("nil overlay compiled to %+v, want nil", fm)
@@ -70,8 +70,8 @@ func TestBuildFaultMaskNoOp(t *testing.T) {
 	cam := randomCAM(rng, Weighted, 16, 64)
 	for i := 0; i < 50; i++ {
 		q := rng.Uint64()
-		want, _ := cam.SearchStats(q)
-		got, _ := cam.SearchStatsMasked(q, nil)
+		want, _ := cam.searchOracle(q, nil)
+		got, _ := cam.Search(q, nil)
 		if got != want {
 			t.Fatalf("nil-mask search returned %d, pristine %d", got, want)
 		}
@@ -91,7 +91,7 @@ func TestSearchStatsMaskedZeroAllocs(t *testing.T) {
 		fm := BuildFaultMask(rf)
 		q := rng.Uint64() & 0xFFFF
 		if allocs := testing.AllocsPerRun(200, func() {
-			cam.SearchStatsMasked(q, fm)
+			cam.Search(q, fm)
 		}); allocs != 0 {
 			t.Fatalf("%v masked search allocates %v per op, want 0", mode, allocs)
 		}
@@ -121,8 +121,8 @@ func FuzzSearchMasked(f *testing.F) {
 		for _, mode := range []Mode{Hamming, Weighted} {
 			cam := randomCAM(rng, mode, bits, 1+rng.Intn(200))
 			fm := BuildFaultMask(rf)
-			wantRow, wantStats := cam.SearchStatsFaulty(q, rf)
-			gotRow, gotStats := cam.SearchStatsMasked(q, fm)
+			wantRow, wantStats := cam.searchOracle(q, rf)
+			gotRow, gotStats := cam.Search(q, fm)
 			if gotRow != wantRow || gotStats != wantStats {
 				t.Fatalf("%v (bits=%d, rows=%d, rf=%d): masked (%d, %+v) vs scalar (%d, %+v)",
 					mode, bits, cam.Len(), len(rf), gotRow, gotStats, wantRow, wantStats)

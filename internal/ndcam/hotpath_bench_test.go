@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// BenchmarkSearchAllocs measures the fault-free re-entrant search — the form
-// every activation lookup and encoder search takes on the pristine inference
-// path. Steady state must be allocation-free: TestSearchStatsZeroAllocs pins
-// it at exactly 0 allocs/op.
+// BenchmarkSearchAllocs measures the fault-free search — the form every
+// activation lookup and encoder search takes on the pristine inference path.
+// Steady state must be allocation-free: TestSearchStatsZeroAllocs pins it at
+// exactly 0 allocs/op.
 func BenchmarkSearchAllocs(b *testing.B) {
 	cam := New(dev(), 16, Weighted)
 	rng := rand.New(rand.NewSource(9))
@@ -22,6 +22,6 @@ func BenchmarkSearchAllocs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cam.SearchStats(queries[i%len(queries)])
+		cam.Search(queries[i%len(queries)], nil)
 	}
 }

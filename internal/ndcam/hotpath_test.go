@@ -1,6 +1,7 @@
 package ndcam
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -23,35 +24,17 @@ func TestSearchStatsZeroAllocs(t *testing.T) {
 		cam := randomCAM(rng, mode, 16, 64)
 		q := rng.Uint64() & 0xFFFF
 		allocs := testing.AllocsPerRun(200, func() {
-			cam.SearchStats(q)
+			cam.Search(q, nil)
 		})
 		if allocs != 0 {
-			t.Fatalf("%v fault-free SearchStats allocates %v per op, want 0", mode, allocs)
+			t.Fatalf("%v fault-free Search allocates %v per op, want 0", mode, allocs)
 		}
 	}
 }
 
-// The overlay path with a caller-owned candidate buffer must be
-// allocation-free once the buffer has grown to the row count.
-func TestSearchStatsFaultyBufZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	cam := randomCAM(rng, Weighted, 16, 64)
-	rf := make([]RowFault, cam.Len())
-	rf[3], rf[17] = RowDead, RowDead
-	var buf []int
-	q := rng.Uint64() & 0xFFFF
-	cam.SearchStatsFaultyBuf(q, rf, &buf)
-	allocs := testing.AllocsPerRun(200, func() {
-		cam.SearchStatsFaultyBuf(q, rf, &buf)
-	})
-	if allocs != 0 {
-		t.Fatalf("buffered overlay search allocates %v per op, want 0", allocs)
-	}
-}
-
-// The pristine fast loop and the general candidate-list machinery must be the
-// same search. An all-RowOK overlay is semantically fault-free but forces the
-// candidate path, so comparing the two pins the fast loop — including the
+// The pristine fast loop and the oracle's candidate-list walk must be the same
+// search. An all-RowOK overlay is semantically fault-free but still walks the
+// oracle's candidates, so comparing the two pins the fast loop — including the
 // Weighted mode's stage-pipeline-equals-integer-argmin identity — against the
 // reference implementation on random banks and queries.
 func TestSearchPristineMatchesCandidatePath(t *testing.T) {
@@ -62,8 +45,8 @@ func TestSearchPristineMatchesCandidatePath(t *testing.T) {
 			cam := randomCAM(rng, mode, bits, 1+rng.Intn(40))
 			allOK := make([]RowFault, cam.Len())
 			q := rng.Uint64()
-			fastRow, fastStats := cam.SearchStats(q)
-			slowRow, slowStats := cam.SearchStatsFaulty(q, allOK)
+			fastRow, fastStats := cam.Search(q, nil)
+			slowRow, slowStats := cam.searchOracle(q, allOK)
 			if fastRow != slowRow {
 				t.Fatalf("%v trial %d (bits=%d, rows=%d): fast path row %d, candidate path row %d",
 					mode, trial, bits, cam.Len(), fastRow, slowRow)
@@ -75,35 +58,8 @@ func TestSearchPristineMatchesCandidatePath(t *testing.T) {
 	}
 }
 
-// A shared candidate buffer must never change an overlay search's answer —
-// buffered and unbuffered forms agree on random fault maps.
-func TestSearchStatsFaultyBufMatchesUnbuffered(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	var buf []int
-	for trial := 0; trial < 300; trial++ {
-		mode := Mode(rng.Intn(2))
-		cam := randomCAM(rng, mode, 16, 1+rng.Intn(40))
-		rf := make([]RowFault, cam.Len())
-		for i := range rf {
-			switch rng.Intn(6) {
-			case 0:
-				rf[i] = RowDead
-			case 1:
-				rf[i] = RowShort
-			}
-		}
-		q := rng.Uint64() & 0xFFFF
-		wantRow, wantStats := cam.SearchStatsFaulty(q, rf)
-		gotRow, gotStats := cam.SearchStatsFaultyBuf(q, rf, &buf)
-		if gotRow != wantRow || gotStats != wantStats {
-			t.Fatalf("trial %d: buffered (%d, %+v) vs unbuffered (%d, %+v)",
-				trial, gotRow, gotStats, wantRow, wantStats)
-		}
-	}
-}
-
-// NewFixedPoint precomputes what the literal form derives lazily; encoded and
-// decoded values must be bit-identical between the two constructions.
+// NewFixedPoint precomputes the code scale; encoded and decoded values must be
+// bit-identical to the literal closed-form definition of the code.
 func TestNewFixedPointMatchesLiteral(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 200; trial++ {
@@ -111,14 +67,15 @@ func TestNewFixedPointMatchesLiteral(t *testing.T) {
 		hi := lo + rng.Float64()*20 + 1e-6
 		bits := 1 + rng.Intn(32)
 		built := NewFixedPoint(lo, hi, bits)
-		literal := FixedPoint{Lo: lo, Hi: hi, Bits: bits}
+		maxCode := float64(uint64(1)<<bits - 1)
 		for i := 0; i < 50; i++ {
 			v := lo + (rng.Float64()*1.4-0.2)*(hi-lo) // includes out-of-domain values
-			a, b := built.Encode(v), literal.Encode(v)
-			if a != b {
-				t.Fatalf("Encode(%v) on [%v,%v]/%d: built %d, literal %d", v, lo, hi, bits, a, b)
+			want := uint64(math.Round(math.Min(math.Max((v-lo)/(hi-lo), 0), 1) * maxCode))
+			a := built.Encode(v)
+			if a != want {
+				t.Fatalf("Encode(%v) on [%v,%v]/%d: built %d, literal %d", v, lo, hi, bits, a, want)
 			}
-			if da, db := built.Decode(a), literal.Decode(a); da != db {
+			if da, db := built.Decode(a), lo+(hi-lo)*float64(a)/maxCode; da != db {
 				t.Fatalf("Decode(%d) on [%v,%v]/%d: built %v, literal %v", a, lo, hi, bits, da, db)
 			}
 		}

@@ -65,9 +65,7 @@ func New(dev device.Params, bitWidth int, mode Mode) *NDCAM {
 	return &NDCAM{dev: dev, bits: bitWidth, stageBits: 8, mode: mode}
 }
 
-// Write appends a pattern row and returns its index. Pooling reuses the
-// encoder NDCAM by writing the window's encoded values before searching
-// (§4.2.1).
+// Write appends a pattern row and returns its index.
 func (n *NDCAM) Write(pattern uint64) int {
 	n.rows = append(n.rows, pattern&n.mask())
 	n.Stats.Writes++
@@ -76,14 +74,8 @@ func (n *NDCAM) Write(pattern uint64) int {
 	return len(n.rows) - 1
 }
 
-// Reset clears all rows (refilling the pooling CAM for the next window).
-func (n *NDCAM) Reset() { n.rows = n.rows[:0] }
-
 // Len returns the number of stored rows.
 func (n *NDCAM) Len() int { return len(n.rows) }
-
-// Row returns a stored pattern.
-func (n *NDCAM) Row(i int) uint64 { return n.rows[i] }
 
 func (n *NDCAM) mask() uint64 {
 	if n.bits == 64 {
@@ -94,27 +86,6 @@ func (n *NDCAM) mask() uint64 {
 
 // Stages returns the number of 8-bit pipeline stages a search traverses.
 func (n *NDCAM) Stages() int { return (n.bits + n.stageBits - 1) / n.stageBits }
-
-// Search returns the index of the stored row nearest the query under the
-// configured mode, accumulating the search activity into n.Stats. Ties
-// resolve to the lowest row index (the first row to be sensed). It panics if
-// the CAM is empty. Not safe for concurrent use — concurrent readers should
-// call SearchStats instead.
-func (n *NDCAM) Search(query uint64) int {
-	row, stats := n.SearchStats(query)
-	n.Stats.Searches += stats.Searches
-	n.Stats.Cycles += stats.Cycles
-	n.Stats.EnergyJ += stats.EnergyJ
-	return row
-}
-
-// SearchStats is the re-entrant form of Search: it returns the nearest row
-// together with the activity of this one search as a value, without mutating
-// the CAM. Any number of goroutines may call it concurrently as long as no
-// Write/Reset runs at the same time.
-func (n *NDCAM) SearchStats(query uint64) (int, Stats) {
-	return n.SearchStatsFaulty(query, nil)
-}
 
 // RowFault describes the failure state of one CAM row — the overlay the
 // fault layer injects without mutating the stored patterns, so any fault
@@ -132,23 +103,18 @@ const (
 	RowShort
 )
 
-// SearchStatsFaulty searches under a row-fault overlay: rf[i] (when i is in
-// range) is row i's failure state. A shorted row discharges before any
-// genuine match, so the lowest-indexed shorted row wins outright; dead rows
-// are excluded from sensing. If every row is excluded the sense amplifier
-// latches its default — row 0. A nil or empty overlay is the fault-free
-// search. Like SearchStats it mutates nothing and is safe for concurrent
-// use alongside other searches.
-func (n *NDCAM) SearchStatsFaulty(query uint64, rf []RowFault) (int, Stats) {
-	return n.SearchStatsFaultyBuf(query, rf, nil)
-}
-
-// SearchStatsFaultyBuf is SearchStatsFaulty with caller-owned scratch: buf
-// (when non-nil) backs the overlay path's candidate bookkeeping, so a worker
-// that reuses one buffer across searches never allocates. The fault-free
-// path (nil or empty rf) needs no candidate bookkeeping at all and ignores
-// buf. buf must not be shared between concurrent searches.
-func (n *NDCAM) SearchStatsFaultyBuf(query uint64, rf []RowFault, buf *[]int) (int, Stats) {
+// Search returns the index of the stored row nearest the query under the
+// configured mode, together with the activity of this one search. fm is the
+// compiled row-fault overlay (BuildFaultMask); nil searches the fault-free
+// bank. Under an overlay a shorted row discharges before any genuine match,
+// so the lowest-indexed shorted row wins outright, and dead rows are excluded
+// from sensing; if every row is excluded the sense amplifier latches its
+// default, row 0. Faults change which line is sensed, not how many are
+// driven, so the Stats do not depend on fm. Ties resolve to the lowest row
+// index (the first row to be sensed). It panics if the CAM is empty. Search
+// mutates nothing: any number of goroutines may search concurrently as long
+// as no Write runs at the same time.
+func (n *NDCAM) Search(query uint64, fm *FaultMask) (int, Stats) {
 	if len(n.rows) == 0 {
 		panic("ndcam: search on empty CAM")
 	}
@@ -157,52 +123,10 @@ func (n *NDCAM) SearchStatsFaultyBuf(query uint64, rf []RowFault, buf *[]int) (i
 		Cycles:   int64(n.Stages() * n.dev.AMSearchCycles),
 		EnergyJ:  n.dev.AMSearchEnergy * float64(len(n.rows)) / float64(n.dev.AMRows),
 	}
-	if len(rf) == 0 {
+	if fm == nil {
 		return n.searchPristine(query), stats
 	}
-	var cand []int
-	if buf != nil {
-		cand = (*buf)[:0]
-	} else {
-		cand = make([]int, 0, len(n.rows))
-	}
-	for i := range n.rows {
-		if i < len(rf) {
-			if rf[i] == RowShort {
-				// Instant discharge beats every genuine match; the first
-				// shorted row is the one the sense amplifier latches.
-				if buf != nil {
-					*buf = cand
-				}
-				return i, stats
-			}
-			if rf[i] == RowDead {
-				continue
-			}
-		}
-		cand = append(cand, i)
-	}
-	if buf != nil {
-		// Hand the (possibly grown) buffer back; searchWeighted filters cand
-		// in place, which only shortens the length the next caller resets.
-		*buf = cand
-	}
-	if len(cand) == 0 {
-		return 0, stats
-	}
-	query &= n.mask()
-	switch n.mode {
-	case Hamming:
-		best, bestD := cand[0], math.MaxInt
-		for _, i := range cand {
-			if d := bits.OnesCount64(n.rows[i] ^ query); d < bestD {
-				best, bestD = i, d
-			}
-		}
-		return best, stats
-	default:
-		return n.searchWeighted(query, cand), stats
-	}
+	return n.searchMasked(query, fm), stats
 }
 
 // searchPristine is the fault-free search: with every row sensing, no
@@ -234,104 +158,39 @@ func (n *NDCAM) searchPristine(query uint64) int {
 	return best
 }
 
-// searchWeighted filters candidates stage by stage from the most significant
-// bits: within a stage every row's discharge current is proportional to the
-// binary-weighted sum of its matched bits, so the surviving rows are those
-// minimizing the stage's mismatch integer. Lexicographic minimization over
-// MSB-first stages equals minimizing the full bit-weighted mismatch. The
-// filter compacts cand in place (survivors keep their relative order, so
-// ties still resolve to the lowest row index), which keeps the overlay
-// search allocation-free when the caller supplies the candidate buffer.
-func (n *NDCAM) searchWeighted(query uint64, cand []int) int {
-	// The stage mask and the rows base are invariant across the whole search;
-	// only the shift varies per stage. Keeping them in locals keeps the
-	// per-candidate loop to one XOR-shift-mask chain.
-	stageMask := uint64(1)<<n.stageBits - 1
-	rows := n.rows
-	for s := n.Stages() - 1; s >= 0 && len(cand) > 1; s-- {
-		shift := uint(s * n.stageBits)
-		bestXor := uint64(math.MaxUint64)
-		k := 0
-		for _, i := range cand {
-			x := ((rows[i] ^ query) >> shift) & stageMask
-			switch {
-			case x < bestXor:
-				bestXor = x
-				k = 0
-				cand[k] = i
-				k++
-			case x == bestXor:
-				cand[k] = i
-				k++
-			}
-		}
-		cand = cand[:k]
-	}
-	return cand[0]
-}
-
 // FixedPoint maps real values onto the CAM's unsigned integer domain. The
 // mapping is monotone, so value ordering is preserved and the weighted
-// search's prefix-first semantics align with numeric closeness.
-//
-// Construct through NewFixedPoint on hot paths: it validates the domain once
-// and precomputes the code scale, so Encode/Decode in the innermost loop is
-// pure arithmetic. A struct literal still works — the first Encode/Decode
-// derives the scale on the fly (and panics there on a bad domain).
+// search's prefix-first semantics align with numeric closeness. Build it with
+// NewFixedPoint, which validates the domain once and precomputes the code
+// scale, so Encode/Decode in the innermost loop is pure arithmetic.
 type FixedPoint struct {
-	Lo, Hi float64
-	Bits   int
-	// maxCode is float64(2^Bits − 1), derived once by NewFixedPoint; zero
-	// means literal construction and triggers the lazy fallback.
+	lo, hi float64
+	// maxCode is float64(2^bits − 1).
 	maxCode float64
 }
 
-// NewFixedPoint builds a FixedPoint with the domain validated and the code
-// scale precomputed at construction time. It panics on an empty or inverted
-// domain — the bad-domain panic moves from every Encode to the single build
-// site. Encoded values are bit-identical to the literal-constructed form.
+// NewFixedPoint builds the bits-wide code over [lo, hi]. It panics on an
+// empty or inverted domain.
 func NewFixedPoint(lo, hi float64, bits int) FixedPoint {
 	if hi <= lo {
 		panic("ndcam: bad fixed-point domain")
 	}
-	return FixedPoint{Lo: lo, Hi: hi, Bits: bits, maxCode: float64(uint64(1)<<bits - 1)}
-}
-
-// scale returns the precomputed maxCode, deriving (and domain-checking) it
-// on first use for literal-constructed values.
-func (f FixedPoint) scale() float64 {
-	if f.maxCode != 0 {
-		return f.maxCode
-	}
-	if f.Hi <= f.Lo {
-		panic("ndcam: bad fixed-point domain")
-	}
-	return float64(uint64(1)<<f.Bits - 1)
+	return FixedPoint{lo: lo, hi: hi, maxCode: float64(uint64(1)<<bits - 1)}
 }
 
 // Encode converts v to its fixed-point code, clamping to the domain.
 func (f FixedPoint) Encode(v float64) uint64 {
-	maxCode := f.maxCode
-	if maxCode == 0 {
-		maxCode = f.scale()
-	}
-	t := (v - f.Lo) / (f.Hi - f.Lo)
+	t := (v - f.lo) / (f.hi - f.lo)
 	if t < 0 {
 		t = 0
 	}
 	if t > 1 {
 		t = 1
 	}
-	return uint64(math.Round(t * maxCode))
+	return uint64(math.Round(t * f.maxCode))
 }
 
-// Decode converts a code back to the domain midpoint it represents. On
-// NewFixedPoint-constructed values the scale is a plain field read — bulk
-// decode loops pay no per-code derivation or domain check.
+// Decode converts a code back to the domain midpoint it represents.
 func (f FixedPoint) Decode(code uint64) float64 {
-	maxCode := f.maxCode
-	if maxCode == 0 {
-		maxCode = f.scale()
-	}
-	return f.Lo + (f.Hi-f.Lo)*float64(code)/maxCode
+	return f.lo + (f.hi-f.lo)*float64(code)/f.maxCode
 }

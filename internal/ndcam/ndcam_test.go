@@ -20,7 +20,7 @@ func TestExactMatchWinsBothModes(t *testing.T) {
 			cam.Write(p)
 		}
 		for i, p := range patterns {
-			if got := cam.Search(p); got != i {
+			if got, _ := cam.Search(p, nil); got != i {
 				t.Fatalf("mode %v: Search(%d) = row %d, want %d", mode, p, got, i)
 			}
 		}
@@ -38,7 +38,7 @@ func TestHammingMatchesBruteForce(t *testing.T) {
 	}
 	for trial := 0; trial < 200; trial++ {
 		q := rng.Uint64() & 0xFFFFFFFF
-		got := cam.Search(q)
+		got, _ := cam.Search(q, nil)
 		bestD := bits.OnesCount64(patterns[got] ^ q)
 		for _, p := range patterns {
 			if d := bits.OnesCount64(p ^ q); d < bestD {
@@ -62,7 +62,8 @@ func TestWeightedMinimizesWeightedXor(t *testing.T) {
 			cam.Write(p)
 		}
 		q := rng.Uint64() & 0xFFFFFF
-		got := patterns[cam.Search(q)]
+		row, _ := cam.Search(q, nil)
+		got := patterns[row]
 		for _, p := range patterns {
 			if (p ^ q) < (got ^ q) {
 				return false
@@ -91,7 +92,8 @@ func TestWeightedApproximatesAbsoluteDistance(t *testing.T) {
 			cam.Write(p)
 		}
 		q := uint64(rng.Intn(1 << 16))
-		got := patterns[cam.Search(q)]
+		row, _ := cam.Search(q, nil)
+		got := patterns[row]
 		best := patterns[0]
 		for _, p := range patterns {
 			if absDiff(p, q) < absDiff(best, q) {
@@ -127,7 +129,7 @@ func TestSearchTieBreaksToFirstRow(t *testing.T) {
 	cam := New(dev(), 8, Weighted)
 	cam.Write(10)
 	cam.Write(10)
-	if got := cam.Search(10); got != 0 {
+	if got, _ := cam.Search(10, nil); got != 0 {
 		t.Fatalf("tie broke to row %d, want 0", got)
 	}
 }
@@ -150,27 +152,13 @@ func TestSearchCostsScaleWithRows(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		big.Write(uint64(i))
 	}
-	small.Search(3)
-	big.Search(3)
-	if big.Stats.EnergyJ <= small.Stats.EnergyJ-small.Stats.EnergyJ/2 {
+	_, s := small.Search(3, nil)
+	_, b := big.Search(3, nil)
+	if b.EnergyJ <= s.EnergyJ {
 		t.Fatal("bigger CAM should cost more search energy")
 	}
-	if small.Stats.Cycles == 0 {
-		t.Fatal("search must consume cycles")
-	}
-}
-
-func TestResetAndReuse(t *testing.T) {
-	cam := New(dev(), 8, Weighted)
-	cam.Write(1)
-	cam.Write(2)
-	cam.Reset()
-	if cam.Len() != 0 {
-		t.Fatal("Reset did not clear rows")
-	}
-	cam.Write(99)
-	if got := cam.Row(cam.Search(90)); got != 99 {
-		t.Fatalf("after reset, search found %d", got)
+	if s.Cycles == 0 || s.Searches != 1 {
+		t.Fatalf("one search charged %+v", s)
 	}
 }
 
@@ -180,11 +168,11 @@ func TestSearchEmptyPanics(t *testing.T) {
 			t.Fatal("empty search did not panic")
 		}
 	}()
-	New(dev(), 8, Weighted).Search(0)
+	New(dev(), 8, Weighted).Search(0, nil)
 }
 
 func TestFixedPointRoundTrip(t *testing.T) {
-	fp := FixedPoint{Lo: -4, Hi: 4, Bits: 16}
+	fp := NewFixedPoint(-4, 4, 16)
 	for _, v := range []float64{-4, -1.5, 0, 0.001, 3.999, 4} {
 		code := fp.Encode(v)
 		back := fp.Decode(code)
@@ -195,7 +183,7 @@ func TestFixedPointRoundTrip(t *testing.T) {
 }
 
 func TestFixedPointClamps(t *testing.T) {
-	fp := FixedPoint{Lo: 0, Hi: 1, Bits: 8}
+	fp := NewFixedPoint(0, 1, 8)
 	if fp.Encode(-5) != 0 {
 		t.Fatal("below-domain must clamp to 0")
 	}
@@ -207,7 +195,7 @@ func TestFixedPointClamps(t *testing.T) {
 // Property: fixed-point encoding is monotone, the prerequisite for the
 // weighted search to track numeric closeness.
 func TestFixedPointMonotoneProperty(t *testing.T) {
-	fp := FixedPoint{Lo: -10, Hi: 10, Bits: 16}
+	fp := NewFixedPoint(-10, 10, 16)
 	f := func(a, b float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
 			return true
@@ -225,7 +213,7 @@ func TestFixedPointMonotoneProperty(t *testing.T) {
 // End-to-end: an activation lookup table realized in NDCAM hardware returns
 // the same row the exact software nearest-search would in almost all cases.
 func TestNDCAMActivationLookupAgreement(t *testing.T) {
-	fp := FixedPoint{Lo: -8, Hi: 8, Bits: 16}
+	fp := NewFixedPoint(-8, 8, 16)
 	cam := New(dev(), 16, Weighted)
 	ys := make([]float64, 64)
 	for i := range ys {
@@ -238,7 +226,7 @@ func TestNDCAMActivationLookupAgreement(t *testing.T) {
 	const trials = 500
 	for trial := 0; trial < trials; trial++ {
 		q := rng.Float64()*16 - 8
-		got := cam.Search(fp.Encode(q))
+		got, _ := cam.Search(fp.Encode(q), nil)
 		best := 0
 		for i, y := range ys {
 			if math.Abs(y-q) < math.Abs(ys[best]-q) {
@@ -273,6 +261,6 @@ func BenchmarkWeightedSearch64Rows(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cam.Search(uint64(i) * 2654435761 & 0xFFFFFFFF)
+		cam.Search(uint64(i)*2654435761&0xFFFFFFFF, nil)
 	}
 }

@@ -10,10 +10,10 @@ import "sync/atomic"
 // run concurrently with inference), so each inference worker memoizes its
 // searches in a small open-addressed table inside its own Scratch:
 //
-//   - The cache is OFF by default. Batch drivers (Infer, InferBatchStats)
-//     enable it for the scratch they own and disable it before the scratch
-//     goes back to the pool, so direct EvalScratch users and pool-recycled
-//     scratches never observe entries from an earlier fault configuration.
+//   - The cache is OFF by default. InferBatchStats enables it for the
+//     scratch each worker owns and disables it before the scratch goes back
+//     to the pool, so fresh and pool-recycled scratches never observe
+//     entries from an earlier fault configuration.
 //   - Entries are validated against a generation counter; enabling bumps the
 //     generation, which invalidates the whole table in O(1).
 //   - One goroutine, one Scratch, one cache — workers share nothing, so the

@@ -17,7 +17,7 @@ import (
 func TestCachedCAMSearchMatchesUncached(t *testing.T) {
 	r, _, _ := hotNeuron()
 	rng := rand.New(rand.NewSource(31))
-	s := NewScratch()
+	s, uncached := NewScratch(), NewScratch()
 	check := func(stage string) {
 		t.Helper()
 		s.enableCAMCache()
@@ -28,10 +28,10 @@ func TestCachedCAMSearchMatchesUncached(t *testing.T) {
 			}
 			// Twice per query: the second round is served from the cache.
 			for pass := 0; pass < 2; pass++ {
-				if got, want := r.searchActCAM(q, s), r.searchActCAM(q, nil); got != want {
+				if got, want := r.searchActCAM(q, s), r.searchActCAM(q, uncached); got != want {
 					t.Fatalf("%s: act search(%#x) pass %d: cached %d, uncached %d", stage, q, pass, got, want)
 				}
-				if got, want := r.searchEncCAM(q, s), r.searchEncCAM(q, nil); got != want {
+				if got, want := r.searchEncCAM(q, s), r.searchEncCAM(q, uncached); got != want {
 					t.Fatalf("%s: enc search(%#x) pass %d: cached %d, uncached %d", stage, q, pass, got, want)
 				}
 			}
@@ -83,12 +83,12 @@ func TestCachedEvalScratchZeroAllocs(t *testing.T) {
 	r, wi, ui := hotNeuron()
 	s := NewScratch()
 	s.enableCAMCache()
-	r.EvalScratch(wi, ui, 0, s) // grow scratch + cache to working-set size
+	fire(r, wi, ui, 0, s) // grow scratch + cache to working-set size
 	allocs := testing.AllocsPerRun(200, func() {
-		r.EvalScratch(wi, ui, 0, s)
+		fire(r, wi, ui, 0, s)
 	})
 	if allocs != 0 {
-		t.Fatalf("cache-armed EvalScratch allocates %v per op, want 0", allocs)
+		t.Fatalf("cache-armed neuron fire allocates %v per op, want 0", allocs)
 	}
 }
 
@@ -113,21 +113,21 @@ func FuzzCachedCAMSearch(f *testing.F) {
 			}
 			r.injectFaults(cfg, rng, nil)
 		}
-		s := NewScratch()
+		s, uncached := NewScratch(), NewScratch()
 		s.enableCAMCache()
 		for _, b := range queries {
 			q := rng.Uint64() >> (b % 49) // vary query magnitude
-			if got, want := r.searchActCAM(q, s), r.searchActCAM(q, nil); got != want {
+			if got, want := r.searchActCAM(q, s), r.searchActCAM(q, uncached); got != want {
 				t.Fatalf("act search(%#x): cached %d, uncached %d", q, got, want)
 			}
-			if got, want := r.searchEncCAM(q, s), r.searchEncCAM(q, nil); got != want {
+			if got, want := r.searchEncCAM(q, s), r.searchEncCAM(q, uncached); got != want {
 				t.Fatalf("enc search(%#x): cached %d, uncached %d", q, got, want)
 			}
 		}
 	})
 }
 
-// Concurrent InferBatch workers each arm the CAM cache on their own Scratch;
+// Concurrent InferBatchStats workers each arm the CAM cache on their own Scratch;
 // nothing is shared, predictions stay bit-identical to the serial path, and
 // the instrumented hit counter proves the cache actually engaged. This is
 // the race-detector target for the cache (make race).

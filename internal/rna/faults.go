@@ -19,28 +19,22 @@ import (
 // composed network can therefore sweep many fault configurations — and many
 // protection combinations per configuration — without re-lowering.
 
-// wordFaults pins individual cells of one stored product word. sa0/sa1 cover
-// the fault-susceptible data cells, csa0/csa1 the SEC-DED check cells (drawn
-// unconditionally so toggling parity after injection sees a consistent map).
-type wordFaults struct {
-	sa0, sa1   uint64
-	csa0, csa1 uint8
-}
-
-// faultState is one drawn fault map. It is written only at injection time;
-// during inference it is read-only except for the atomic read-event counter,
-// so concurrent inference workers need no locking.
+// faultState is one drawn fault map. It is written only at injection and
+// protection-change time; during inference it is read-only except for the
+// atomic read-event counter, so concurrent inference workers need no locking.
 type faultState struct {
-	// stuck[w][u] pins cells of product (w,u); nil when no stuck faults drawn.
-	stuck [][]wordFaults
-	// remap[w][u]: the word is remapped to a fault-free spare row and reads
-	// its pristine contents. Rebuilt by reconcileSpares.
-	remap [][]bool
-	// sa0f/sa1f/csa0f/csa1f are the flat, index-parallel fold of stuck with
-	// the remap applied: entry wi·nU+ui holds the word's pinned-cell masks,
-	// zeroed for remapped words (a spare row reads pristine). readProduct
-	// applies any overlay with two mask ops and no remap branch. Rebuilt by
-	// foldStuck whenever the map or the spare budget changes.
+	// sa0/sa1/csa0/csa1 are the drawn stuck-cell map, index-parallel with the
+	// product table: entry wi·nU+ui pins cells of product (w,u). sa0/sa1
+	// cover the fault-susceptible data cells, csa0/csa1 the SEC-DED check
+	// cells (drawn unconditionally so toggling parity after injection sees a
+	// consistent map). nil when no stuck faults were drawn.
+	sa0, sa1   []uint64
+	csa0, csa1 []uint8
+	// sa0f/sa1f/csa0f/csa1f are the effective masks readProduct applies: the
+	// drawn map with every word remapped to a fault-free spare row zeroed (a
+	// spare row reads pristine), so a read costs two mask ops and no remap
+	// branch. Rebuilt by reconcileSpares whenever the map or the spare
+	// budget changes.
 	sa0f, sa1f   []uint64
 	csa0f, csa1f []uint8
 
@@ -53,14 +47,12 @@ type faultState struct {
 	// iteration order — transient runs are seeded, not bit-reproducible.
 	reads atomic.Uint64
 
-	// Row-failure overlays, three independently drawn replicas per CAM.
-	// Replica 0 is the primary (unprotected) view — enabling TMR adds voting
-	// over replicas 1 and 2 without changing what "unprotected" means.
-	act, enc [3][]ndcam.RowFault
-	// actFM/encFM are the word-parallel compilations of act/enc (built once
-	// at injection); searches apply them via ndcam.SearchStatsMasked instead
-	// of re-classifying rows per search. A nil mask means the replica's
-	// overlay is a no-op (all rows OK).
+	// camRows records that CAM row failures were drawn. actFM/encFM are then
+	// the compiled row-fault overlays of three independently drawn copies of
+	// each CAM; a nil mask means that copy drew no failed row. Copy 0 is the
+	// primary (unprotected) view — enabling TMR adds voting over copies 1 and
+	// 2 without changing what "unprotected" means.
+	camRows      bool
 	actFM, encFM [3]*ndcam.FaultMask
 }
 
@@ -80,51 +72,45 @@ func (r *FuncRNA) injectFaults(cfg fault.Config, rng *rand.Rand, cnt *fault.Coun
 	if cfg.StuckRate > 0 {
 		nbits := r.faultBits()
 		oneFrac := cfg.OneFrac()
-		pin := func(w *uint64, b int) {
-			*w |= 1 << uint(b)
-		}
-		f.stuck = make([][]wordFaults, r.nW)
-		for wi := 0; wi < r.nW; wi++ {
-			f.stuck[wi] = make([]wordFaults, r.nU)
-			for ui := 0; ui < r.nU; ui++ {
-				w := &f.stuck[wi][ui]
-				for b := 0; b < nbits; b++ {
-					if rng.Float64() >= cfg.StuckRate {
-						continue
-					}
-					rep.StuckCells++
-					if rng.Float64() < oneFrac {
-						pin(&w.sa1, b)
-					} else {
-						pin(&w.sa0, b)
-					}
+		n := r.nW * r.nU
+		f.sa0, f.sa1 = make([]uint64, n), make([]uint64, n)
+		f.csa0, f.csa1 = make([]uint8, n), make([]uint8, n)
+		for idx := 0; idx < n; idx++ {
+			for b := 0; b < nbits; b++ {
+				if rng.Float64() >= cfg.StuckRate {
+					continue
 				}
-				var c0, c1 uint64
-				for b := 0; b < fault.CheckBits; b++ {
-					if rng.Float64() >= cfg.StuckRate {
-						continue
-					}
-					rep.StuckCells++
-					if rng.Float64() < oneFrac {
-						pin(&c1, b)
-					} else {
-						pin(&c0, b)
-					}
+				rep.StuckCells++
+				if rng.Float64() < oneFrac {
+					f.sa1[idx] |= 1 << uint(b)
+				} else {
+					f.sa0[idx] |= 1 << uint(b)
 				}
-				w.csa0, w.csa1 = uint8(c0), uint8(c1)
-				pristine := uint64(r.products[wi*r.nU+ui]) & math.MaxUint32
-				rep.StuckBits += bits.OnesCount64(((pristine &^ w.sa0) | w.sa1) ^ pristine)
 			}
+			for b := 0; b < fault.CheckBits; b++ {
+				if rng.Float64() >= cfg.StuckRate {
+					continue
+				}
+				rep.StuckCells++
+				if rng.Float64() < oneFrac {
+					f.csa1[idx] |= 1 << uint(b)
+				} else {
+					f.csa0[idx] |= 1 << uint(b)
+				}
+			}
+			pristine := uint64(r.products[idx]) & math.MaxUint32
+			rep.StuckBits += bits.OnesCount64(((pristine &^ f.sa0[idx]) | f.sa1[idx]) ^ pristine)
 		}
 	}
 	if cfg.CAMRowRate > 0 {
 		shortFrac := cfg.ShortFrac()
-		draw := func(cam *ndcam.NDCAM) (reps [3][]ndcam.RowFault) {
+		draw := func(cam *ndcam.NDCAM) (fms [3]*ndcam.FaultMask) {
 			if cam == nil {
-				return reps
+				return fms
 			}
-			for k := 0; k < 3; k++ {
-				rf := make([]ndcam.RowFault, cam.Len())
+			rf := make([]ndcam.RowFault, cam.Len())
+			for k := range fms {
+				clear(rf)
 				for i := range rf {
 					if rng.Float64() >= cfg.CAMRowRate {
 						continue
@@ -138,16 +124,13 @@ func (r *FuncRNA) injectFaults(cfg fault.Config, rng *rand.Rand, cnt *fault.Coun
 						rep.CAMRowsFailed++
 					}
 				}
-				reps[k] = rf
+				fms[k] = ndcam.BuildFaultMask(rf)
 			}
-			return reps
+			return fms
 		}
-		f.act = draw(r.actCAM)
-		f.enc = draw(r.encCAM)
-		for k := 0; k < 3; k++ {
-			f.actFM[k] = ndcam.BuildFaultMask(f.act[k])
-			f.encFM[k] = ndcam.BuildFaultMask(f.enc[k])
-		}
+		f.camRows = true
+		f.actFM = draw(r.actCAM)
+		f.encFM = draw(r.encCAM)
 	}
 	r.flt = f
 	r.cnt = cnt
@@ -170,41 +153,40 @@ func (r *FuncRNA) SetProtection(p fault.Protection, cnt *fault.Counters) {
 	r.reconcileSpares()
 }
 
-// stuckDiff counts the cells of word (wi,ui) whose pinned value differs from
-// the pristine stored bit — data cells always, check cells only when parity
+// stuckDiff counts the cells of word idx whose pinned value differs from the
+// pristine stored bit — data cells always, check cells only when parity
 // stores them. This is what a march test observes per word.
-func (r *FuncRNA) stuckDiff(wi, ui int) int {
-	w := &r.flt.stuck[wi][ui]
-	pristine := uint64(r.products[wi*r.nU+ui]) & math.MaxUint32
-	d := bits.OnesCount64(((pristine &^ w.sa0) | w.sa1) ^ pristine)
+func (r *FuncRNA) stuckDiff(idx int) int {
+	f := r.flt
+	pristine := uint64(r.products[idx]) & math.MaxUint32
+	d := bits.OnesCount64(((pristine &^ f.sa0[idx]) | f.sa1[idx]) ^ pristine)
 	if r.prot.Parity {
 		check := uint64(fault.EncodeSECDED(uint32(pristine)))
-		d += bits.OnesCount64(((check &^ uint64(w.csa0)) | uint64(w.csa1)) ^ check)
+		d += bits.OnesCount64(((check &^ uint64(f.csa0[idx])) | uint64(f.csa1[idx])) ^ check)
 	}
 	return d
 }
 
-// reconcileSpares re-derives the spare-row remap from the current fault map
-// and spare budget — the repair pass a memory controller runs after a march
-// test. The words with the most corrupting pinned cells are remapped first;
-// ties break on table position so the repair is deterministic.
+// reconcileSpares re-derives the effective masks from the drawn map and the
+// spare budget — the repair pass a memory controller runs after a march
+// test. The words with the most corrupting pinned cells are remapped first,
+// ties broken on table position so the repair is deterministic, and a
+// remapped word's effective masks are zero.
 func (r *FuncRNA) reconcileSpares() {
 	f := r.flt
-	if f == nil || f.stuck == nil {
+	if f == nil || f.sa0 == nil {
 		return
 	}
-	f.remap = nil
-	defer r.foldStuck() // re-fold the flat overlay under the new remap
+	f.sa0f, f.sa1f = append(f.sa0f[:0], f.sa0...), append(f.sa1f[:0], f.sa1...)
+	f.csa0f, f.csa1f = append(f.csa0f[:0], f.csa0...), append(f.csa1f[:0], f.csa1...)
 	if r.prot.SpareRows <= 0 {
 		return
 	}
-	type cand struct{ wi, ui, diff int }
+	type cand struct{ idx, diff int }
 	var cands []cand
-	for wi := range f.stuck {
-		for ui := range f.stuck[wi] {
-			if d := r.stuckDiff(wi, ui); d > 0 {
-				cands = append(cands, cand{wi, ui, d})
-			}
+	for idx := range f.sa0 {
+		if d := r.stuckDiff(idx); d > 0 {
+			cands = append(cands, cand{idx, d})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
@@ -212,15 +194,8 @@ func (r *FuncRNA) reconcileSpares() {
 		if a.diff != b.diff {
 			return a.diff > b.diff
 		}
-		if a.wi != b.wi {
-			return a.wi < b.wi
-		}
-		return a.ui < b.ui
+		return a.idx < b.idx
 	})
-	f.remap = make([][]bool, len(f.stuck))
-	for wi := range f.stuck {
-		f.remap[wi] = make([]bool, len(f.stuck[wi]))
-	}
 	for i, c := range cands {
 		if i >= r.prot.SpareRows {
 			if r.cnt != nil {
@@ -228,50 +203,18 @@ func (r *FuncRNA) reconcileSpares() {
 			}
 			break
 		}
-		f.remap[c.wi][c.ui] = true
+		f.sa0f[c.idx], f.sa1f[c.idx] = 0, 0
+		f.csa0f[c.idx], f.csa1f[c.idx] = 0, 0
 		if r.cnt != nil {
 			r.cnt.Remapped.Add(1)
 		}
 	}
 }
 
-// foldStuck flattens the per-word stuck-cell overlay into the index-parallel
-// sa0f/sa1f/csa0f/csa1f arrays with the spare-row remap folded in: a remapped
-// word's masks are zero, so applying the fold is identical to skipping the
-// overlay for that word. Runs at injection and protection-change time only.
-func (r *FuncRNA) foldStuck() {
-	f := r.flt
-	if f == nil || f.stuck == nil {
-		return
-	}
-	nn := r.nW * r.nU
-	if cap(f.sa0f) < nn {
-		f.sa0f = make([]uint64, nn)
-		f.sa1f = make([]uint64, nn)
-		f.csa0f = make([]uint8, nn)
-		f.csa1f = make([]uint8, nn)
-	}
-	f.sa0f, f.sa1f = f.sa0f[:nn], f.sa1f[:nn]
-	f.csa0f, f.csa1f = f.csa0f[:nn], f.csa1f[:nn]
-	for wi := 0; wi < r.nW; wi++ {
-		for ui := 0; ui < r.nU; ui++ {
-			idx := wi*r.nU + ui
-			if f.remap != nil && f.remap[wi][ui] {
-				f.sa0f[idx], f.sa1f[idx] = 0, 0
-				f.csa0f[idx], f.csa1f[idx] = 0, 0
-				continue
-			}
-			w := &f.stuck[wi][ui]
-			f.sa0f[idx], f.sa1f[idx] = w.sa0, w.sa1
-			f.csa0f[idx], f.csa1f[idx] = w.csa0, w.csa1
-		}
-	}
-}
-
 // readProduct is the fault-aware fetch of one pre-computed product. With no
 // faults and no parity it is the direct table read. Otherwise the pristine
-// word passes through the flat stuck-cell fold (remapped words carry zero
-// masks), the per-read transient mask, and — when parity is on — the SEC-DED
+// word passes through the effective stuck-cell masks (remapped words carry
+// zero masks), the per-read transient mask, and — when parity is on — the SEC-DED
 // decode, whose corrected/uncorrectable outcomes are counted. Safe for
 // concurrent use during inference.
 func (r *FuncRNA) readProduct(wi, ui int) int64 {
@@ -332,8 +275,8 @@ const checkSeedSalt = 0x5ca1ab1e
 
 // searchActCAM / searchEncCAM route the NDCAM searches through the
 // batch-scoped lookup cache (when the owning scratch has it armed) and the
-// row-fault overlay. Without TMR the primary replica's faults apply directly;
-// with TMR the three independently drawn replicas vote 2-of-3 — bypassing the
+// row-fault overlay. Without TMR the primary copy's faults apply directly;
+// with TMR the three independently drawn copies vote 2-of-3 — bypassing the
 // cache so the vote counters keep their per-search semantics — and a
 // three-way disagreement falls back to the median row index; codebook rows
 // are ordinal, so the median is the least-wrong arbiter. Safe for concurrent
@@ -352,43 +295,37 @@ func (r *FuncRNA) searchEncCAM(q uint64, s *Scratch) int {
 // exact; search Stats are not affected because the inference path discards
 // them (activation/encoder searches charge nothing to crossbar totals).
 func (r *FuncRNA) cachedSearch(cam *ndcam.NDCAM, activation bool, key uint32, q uint64, s *Scratch) int {
-	if s == nil || !s.camOn || r.prot.TMR {
-		return r.searchCAM(cam, activation, q, s)
+	if !s.camOn || r.prot.TMR {
+		return r.searchCAM(cam, activation, q)
 	}
 	if row, ok := s.camLookup(key, q); ok {
 		s.camHits++
 		return row
 	}
-	row := r.searchCAM(cam, activation, q, s)
+	row := r.searchCAM(cam, activation, q)
 	s.camStore(key, q, row)
 	s.camMisses++
 	return row
 }
 
-func (r *FuncRNA) searchCAM(cam *ndcam.NDCAM, activation bool, q uint64, s *Scratch) int {
+func (r *FuncRNA) searchCAM(cam *ndcam.NDCAM, activation bool, q uint64) int {
 	f := r.flt
-	var reps *[3][]ndcam.RowFault
-	var fms *[3]*ndcam.FaultMask
-	if f != nil {
-		if activation {
-			reps, fms = &f.act, &f.actFM
-		} else {
-			reps, fms = &f.enc, &f.encFM
-		}
-	}
-	if reps == nil || reps[0] == nil {
-		// Pristine fast path: the fault-free search needs no candidate
-		// bookkeeping at all.
-		row, _ := cam.SearchStats(q)
+	if f == nil || !f.camRows {
+		// Pristine fast path: no row faults were drawn.
+		row, _ := cam.Search(q, nil)
 		return row
 	}
+	fms := &f.encFM
+	if activation {
+		fms = &f.actFM
+	}
 	if !r.prot.TMR {
-		row, _ := cam.SearchStatsMasked(q, fms[0])
+		row, _ := cam.Search(q, fms[0])
 		return row
 	}
 	var idx [3]int
 	for k := 0; k < 3; k++ {
-		idx[k], _ = cam.SearchStatsMasked(q, fms[k])
+		idx[k], _ = cam.Search(q, fms[k])
 	}
 	if r.cnt != nil {
 		r.cnt.TMRVotes.Add(1)

@@ -54,7 +54,7 @@ func mustErrorRate(t *testing.T, hw *HardwareNetwork, x *tensor.Tensor, labels [
 // overlay snapshot/restore that lets one network sweep many configurations.
 func TestProtectionRestoresAccuracy(t *testing.T) {
 	hw, testX, labels := buildFaultHW(t)
-	basePreds, err := hw.InferBatch(testX)
+	basePreds, _, err := hw.InferBatchStats(testX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestProtectionRestoresAccuracy(t *testing.T) {
 	// network exactly: same predictions bit for bit, not just same error.
 	hw.SetProtection(fault.Protection{})
 	hw.ClearFaults()
-	restored, err := hw.InferBatch(testX)
+	restored, _, err := hw.InferBatchStats(testX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestParityAbsorbsTransientFlips(t *testing.T) {
 func TestFuncRNAOverlayProperties(t *testing.T) {
 	wcb := []float32{-1, -0.25, 0.25, 1}
 	ucb := []float32{-0.5, 0, 0.5, 0.75}
-	r := NewFuncRNA(dev(), wcb, ucb, 0, nil, true, []float32{-1, 0, 1}, hwFracBits)
+	r := NewFuncRNAShared(dev(), wcb, ucb, nil, true, []float32{-1, 0, 1}, hwFracBits, nil)
 
 	pristine := make([][]int64, r.nW)
 	for wi := 0; wi < r.nW; wi++ {
@@ -189,7 +189,7 @@ func TestFuncRNAOverlayProperties(t *testing.T) {
 
 	// Protection first, injection second: reconcile must still repair.
 	r.SetProtection(fault.Protection{SpareRows: len(wcb) * len(ucb)}, nil)
-	if n := r.InjectStuckFaults(0.5, rand.New(rand.NewSource(faultTestSeed))); n == 0 {
+	if rep := r.injectFaults(fault.Config{StuckRate: 0.5}, rand.New(rand.NewSource(faultTestSeed)), nil); rep.StuckBits == 0 {
 		t.Fatal("50% stuck rate drew nothing")
 	}
 	for wi := range pristine {
@@ -241,7 +241,7 @@ func TestInjectFaultsSeedDeterminism(t *testing.T) {
 		if _, err := hw.InjectFaults(cfg); err != nil {
 			t.Fatal(err)
 		}
-		preds, err := hw.InferBatch(testX)
+		preds, _, err := hw.InferBatchStats(testX)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -80,11 +80,11 @@ func TestHardwareBorrowsFlatProductTablesBitIdentical(t *testing.T) {
 		flat[i] = 2*rng.Float32() - 1
 	}
 	x := tensor.FromSlice(flat, n, in)
-	want, err := ref.InferBatch(x)
+	want, wantStats, err := ref.InferBatchStats(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := hw.InferBatch(x)
+	got, gotStats, err := hw.InferBatchStats(x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,5 +92,8 @@ func TestHardwareBorrowsFlatProductTablesBitIdentical(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("row %d: borrowed-table lowering predicted %d, local lowering %d", i, got[i], want[i])
 		}
+	}
+	if gotStats != wantStats {
+		t.Fatalf("borrowed-table lowering charged %+v, local lowering %+v", gotStats, wantStats)
 	}
 }

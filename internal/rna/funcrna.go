@@ -3,7 +3,6 @@ package rna
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/counting"
 	"repro/internal/crossbar"
@@ -20,15 +19,13 @@ import (
 // It exists to validate that the hardware path computes what the software
 // reinterpreted model promises.
 type FuncRNA struct {
-	dev      device.Params
-	wcb, ucb []float32
+	dev device.Params
 	// products is the fixed-point pre-computed product table, flattened to a
 	// single stride-indexed row-major slice: product (w,u) lives at
 	// products[w·nU + u]. One backing array keeps the whole table on a few
 	// cache lines and spares the per-row pointer chase of a [][]int64.
 	products []int64
 	nW, nU   int
-	bias     int64
 	fracBits uint
 
 	actTable *quant.ActTable
@@ -36,7 +33,6 @@ type FuncRNA struct {
 	actFP    ndcam.FixedPoint
 	relu     bool
 
-	encCB  []float32
 	encCAM *ndcam.NDCAM
 	encFP  ndcam.FixedPoint
 
@@ -49,31 +45,23 @@ type FuncRNA struct {
 	flt  *faultState
 	prot fault.Protection
 	cnt  *fault.Counters
-
-	// LastStats reports substrate activity of the most recent Fire.
-	LastStats crossbar.Stats
 }
 
 const sumWidth = 32
 
-// NewFuncRNA configures a functional RNA for one neuron. actTable may be
-// nil with relu=true for the comparator path; nextCodebook is the consuming
-// layer's input codebook the output is encoded with.
-func NewFuncRNA(dev device.Params, wcb, ucb []float32, bias float32,
-	actTable *quant.ActTable, relu bool, nextCodebook []float32, fracBits uint) *FuncRNA {
-	return NewFuncRNAShared(dev, wcb, ucb, bias, actTable, relu, nextCodebook, fracBits, nil)
-}
-
-// NewFuncRNAShared is NewFuncRNA with an optionally pre-composed product
-// table: when products is non-nil it must be the stride-indexed
-// [len(wcb)·len(ucb)] table at fracBits fractional bits (what
-// composer.SaveFlat embeds in RAPIDNN2 artifacts), and the block BORROWS it
-// — typically a read-only view into an mmap'd artifact, shared by every
-// block configured from the same codebook group. The caller owns the
-// backing memory and must keep it mapped for the block's lifetime
-// (composer.Composed.Close is the usual release point). A nil products
-// recomputes the table locally, bit-identically.
-func NewFuncRNAShared(dev device.Params, wcb, ucb []float32, bias float32,
+// NewFuncRNAShared configures a functional RNA for the neurons of one
+// codebook group. actTable may be nil with relu=true for the comparator path;
+// nextCodebook is the consuming layer's input codebook the output is encoded
+// with. Each neuron's bias travels with its evaluation, not with the block.
+//
+// When products is non-nil it must be the stride-indexed [len(wcb)·len(ucb)]
+// table at fracBits fractional bits (what composer.SaveFlat embeds in
+// RAPIDNN2 artifacts), and the block BORROWS it — typically a read-only view
+// into an mmap'd artifact, shared by every block configured from the same
+// codebook group. The caller owns the backing memory and must keep it mapped
+// for the block's lifetime (composer.Composed.Close is the usual release
+// point). A nil products recomputes the table locally, bit-identically.
+func NewFuncRNAShared(dev device.Params, wcb, ucb []float32,
 	actTable *quant.ActTable, relu bool, nextCodebook []float32, fracBits uint, products []int64) *FuncRNA {
 	if len(wcb) == 0 || len(ucb) == 0 || len(nextCodebook) == 0 {
 		panic("rna: empty codebook")
@@ -81,11 +69,7 @@ func NewFuncRNAShared(dev device.Params, wcb, ucb []float32, bias float32,
 	if actTable == nil && !relu {
 		panic("rna: need an activation table or the ReLU comparator")
 	}
-	r := &FuncRNA{
-		dev: dev, wcb: wcb, ucb: ucb,
-		bias: toFixed(float64(bias), fracBits), fracBits: fracBits,
-		actTable: actTable, relu: relu, encCB: nextCodebook,
-	}
+	r := &FuncRNA{dev: dev, fracBits: fracBits, actTable: actTable, relu: relu}
 	r.nW, r.nU = len(wcb), len(ucb)
 	r.actKey, r.encKey = nextCAMKeys()
 	if products != nil {
@@ -127,71 +111,18 @@ func NewFuncRNAShared(dev device.Params, wcb, ucb []float32, bias float32,
 	return r
 }
 
-// Fire evaluates the neuron on encoded operands: weightIdx[i] and
-// inputIdx[i] are the codebook indices of edge i. It returns the encoded
-// output index and its decoded codebook value, recording the substrate
-// activity in LastStats. Not safe for concurrent use — concurrent callers
-// evaluate through Eval instead.
-func (r *FuncRNA) Fire(weightIdx, inputIdx []int) (encoded int, value float32) {
-	encoded, value, stats := r.Eval(weightIdx, inputIdx, r.bias)
-	r.LastStats = stats
-	return encoded, value
-}
-
-// Eval is the re-entrant end-to-end evaluation: accumulate → activate →
-// encode, with the bias passed as an argument and the crossbar activity
-// returned as a value. It never mutates the RNA, so one configured block can
-// evaluate many neurons from many goroutines concurrently. The working set
-// is borrowed from the internal scratch pool; a worker that owns a Scratch
-// calls EvalScratch instead.
-func (r *FuncRNA) Eval(weightIdx, inputIdx []int, bias int64) (encoded int, value float32, stats crossbar.Stats) {
-	s := scratchPool.Get().(*Scratch)
-	encoded, value, stats = r.EvalScratch(weightIdx, inputIdx, bias, s)
-	scratchPool.Put(s)
-	return encoded, value, stats
-}
-
-// EvalScratch is Eval with a caller-owned Scratch: the whole accumulate →
-// activate → encode pipeline runs in s's buffers, so steady state performs
-// zero heap allocations on the pristine (fault-free) path. The RNA itself is
-// never mutated; concurrency is bounded only by the rule that each Scratch
-// belongs to one goroutine.
-func (r *FuncRNA) EvalScratch(weightIdx, inputIdx []int, bias int64, s *Scratch) (encoded int, value float32, stats crossbar.Stats) {
-	pre, stats := r.AccumulateBiasScratch(weightIdx, inputIdx, bias, s)
-	encoded, value = r.encodeValue(r.activate(pre, s), s)
-	return encoded, value, stats
-}
-
-// Accumulate runs the weighted-accumulation pipeline with the block's
-// configured bias, recording the activity in LastStats. Not safe for
-// concurrent use; see AccumulateBias.
-func (r *FuncRNA) Accumulate(weightIdx, inputIdx []int) float64 {
-	pre, stats := r.AccumulateBias(weightIdx, inputIdx, r.bias)
-	r.LastStats = stats
-	return pre
-}
-
-// AccumulateBias runs the weighted-accumulation pipeline — parallel counting
-// (§4.1.1), shift-add expansion of the counts, and NOR-decomposed in-memory
-// addition (§4.1.2) — returning the real-valued pre-activation and the
-// crossbar activity of this evaluation. bias is the neuron's fixed-point
-// bias (ToFixed with the block's fraction bits). The receiver is read-only,
-// so the call is safe from any number of goroutines; the working set is
-// borrowed from the internal scratch pool.
-func (r *FuncRNA) AccumulateBias(weightIdx, inputIdx []int, bias int64) (float64, crossbar.Stats) {
-	s := scratchPool.Get().(*Scratch)
-	pre, stats := r.AccumulateBiasScratch(weightIdx, inputIdx, bias, s)
-	scratchPool.Put(s)
-	return pre, stats
-}
-
-// AccumulateBiasScratch is AccumulateBias evaluated in the caller's Scratch:
-// the counting histogram, the shift-add terms, the adder operands and the
-// adder's crossbar rows all live in s, so steady state allocates nothing.
-// The sum and the returned Stats are bit-identical to the historical path —
-// the NOR schedule depends only on the addend population, and the flat
-// histogram walks products in deterministic (w,u) order, which the addition
-// is insensitive to.
+// AccumulateBiasScratch runs the weighted-accumulation pipeline — parallel
+// counting (§4.1.1), shift-add expansion of the counts, and NOR-decomposed
+// in-memory addition (§4.1.2) — returning the real-valued pre-activation and
+// the crossbar activity of this evaluation. weightIdx[i] and inputIdx[i] are
+// the codebook indices of edge i; bias is the neuron's fixed-point bias
+// (toFixed with the block's fraction bits). The counting histogram, the
+// shift-add terms, the adder operands and the adder's rows all live in s, so
+// steady state allocates nothing. The block itself is read-only here: any
+// number of goroutines may evaluate it, each with its own Scratch. The sum
+// and the Stats depend only on the addend population, and the flat histogram
+// walks products in deterministic (w,u) order, which the addition is
+// insensitive to.
 func (r *FuncRNA) AccumulateBiasScratch(weightIdx, inputIdx []int, bias int64, s *Scratch) (float64, crossbar.Stats) {
 	if len(weightIdx) != len(inputIdx) {
 		panic(fmt.Sprintf("rna: %d weights vs %d inputs", len(weightIdx), len(inputIdx)))
@@ -233,15 +164,8 @@ func (r *FuncRNA) AccumulateBiasScratch(weightIdx, inputIdx []int, bias int64, s
 	return fromFixed(sum, r.fracBits), stats
 }
 
-// Activate applies the activation stage: an NDCAM table search, or the ReLU
-// comparator (§4.2.1). The search is re-entrant (SearchStats), so Activate
-// is safe for concurrent use. The fault-free search allocates nothing; only
-// a fault overlay needs candidate bookkeeping, borrowed per call here and
-// scratch-backed on the EvalScratch path.
-func (r *FuncRNA) Activate(pre float64) float64 {
-	return r.activate(pre, nil)
-}
-
+// activate applies the activation stage: an NDCAM table search, or the ReLU
+// comparator (§4.2.1).
 func (r *FuncRNA) activate(pre float64, s *Scratch) float64 {
 	if r.relu {
 		if pre > 0 {
@@ -253,69 +177,10 @@ func (r *FuncRNA) activate(pre float64, s *Scratch) float64 {
 	return float64(r.actTable.Z[row])
 }
 
-// EncodeValue maps an activation output onto the consuming layer's codebook
-// through the encoder NDCAM (§2.2, Fig. 2d). Safe for concurrent use.
-func (r *FuncRNA) EncodeValue(z float64) (encoded int, value float32) {
-	return r.encodeValue(z, nil)
-}
-
-func (r *FuncRNA) encodeValue(z float64, s *Scratch) (encoded int, value float32) {
-	encoded = r.searchEncCAM(r.encFP.Encode(z), s)
-	return encoded, r.encCB[encoded]
-}
-
-// MaxPool runs the pooling path (§4.2.1): the window's encoded values are
-// written into the encoder CAM and a search over the codebook extremes
-// finds the largest entry. Because codebook levels are sorted, comparing
-// encoded indices equals comparing values, so the result is simply the
-// maximum index — which is what the hardware's nearest-to-+∞ search yields.
-// The pooling CAM's substrate activity — one write per window entry plus the
-// search — is recorded in LastStats, so MaxPool is not safe for concurrent
-// use; concurrent callers evaluate through MaxPoolStats instead.
-func (r *FuncRNA) MaxPool(encodedWindow []int) int {
-	s := scratchPool.Get().(*Scratch)
-	row, stats := r.MaxPoolStats(encodedWindow, s)
-	scratchPool.Put(s)
-	r.LastStats = stats
-	return row
-}
-
-// MaxPoolStats is the re-entrant pooling evaluation: the window runs through
-// the scratch's reusable pooling CAM (one CAM per Scratch, refilled per
-// window, instead of a fresh CAM allocation per call) and the CAM's write
-// and search activity is returned as a value rather than dropped.
-func (r *FuncRNA) MaxPoolStats(encodedWindow []int, s *Scratch) (int, crossbar.Stats) {
-	if len(encodedWindow) == 0 {
-		panic("rna: empty pooling window")
-	}
-	cam := s.poolCAM(r.dev)
-	cam.Reset()
-	cam.Stats = ndcam.Stats{}
-	for _, e := range encodedWindow {
-		cam.Write(r.encFP.Encode(float64(r.encCB[e])))
-	}
-	row := cam.Search(r.encFP.Encode(math.Inf(1)))
-	return encodedWindow[row], camToCrossbarStats(cam.Stats)
-}
-
-// camToCrossbarStats folds NDCAM activity into the crossbar-stat totals the
-// inference path reports: cycles, writes and energy carry over directly.
-func camToCrossbarStats(s ndcam.Stats) crossbar.Stats {
-	return crossbar.Stats{Cycles: s.Cycles, Writes: s.Writes, EnergyJ: s.EnergyJ}
-}
-
-// InjectStuckFaults pins each fault-susceptible cell of every pre-stored
-// product with the given probability — stuck-at faults in the crossbar's
-// resistive cells, split evenly between stuck-at-1 and stuck-at-0. A pinned
-// cell is idempotent under re-reads, and the injection is an overlay: the
-// pristine table is untouched, ClearFaults restores the block bit-exactly,
-// and a new injection replaces the previous map. It returns the number of
-// pinned cells whose value differs from the pristine stored bit.
-func (r *FuncRNA) InjectStuckFaults(rate float64, rng *rand.Rand) int {
-	if rate <= 0 {
-		return 0
-	}
-	return r.injectFaults(fault.Config{StuckRate: rate}, rng, r.cnt).StuckBits
+// encodeValue maps an activation output onto the consuming layer's codebook
+// through the encoder NDCAM (§2.2, Fig. 2d) and returns its codebook index.
+func (r *FuncRNA) encodeValue(z float64, s *Scratch) int {
+	return r.searchEncCAM(r.encFP.Encode(z), s)
 }
 
 // toFixed / fromFixed delegate to the shared quant conversions so the

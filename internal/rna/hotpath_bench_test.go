@@ -17,7 +17,7 @@ func hotNeuron() (*FuncRNA, []int, []int) {
 	ucb := randomCodebook(rng, 16, 1.0)
 	next := randomCodebook(rng, 16, 1.0)
 	table := quant.BuildActTable(nn.Sigmoid{}, 64, -8, 8, quant.NonLinear)
-	r := NewFuncRNA(dev(), wcb, ucb, 0.1, table, false, next, 16)
+	r := NewFuncRNAShared(dev(), wcb, ucb, table, false, next, 16, nil)
 	wi := make([]int, 64)
 	ui := make([]int, 64)
 	for i := range wi {
@@ -26,27 +26,17 @@ func hotNeuron() (*FuncRNA, []int, []int) {
 	return r, wi, ui
 }
 
-// BenchmarkNeuronFire measures one end-to-end neuron evaluation through the
-// zero-config re-entrant API — counting, shift-add expansion, NOR addition,
-// NDCAM activation and encoding. This is the innermost unit of work of every
-// hardware inference; its allocs/op govern GC pressure at serving scale.
+// BenchmarkNeuronFire measures one end-to-end neuron evaluation — counting,
+// shift-add expansion, NOR addition, NDCAM activation and encoding — on a
+// caller-owned Scratch with the CAM cache off. This is the innermost unit of
+// work of every hardware inference; its allocs/op govern GC pressure at
+// serving scale.
 func BenchmarkNeuronFire(b *testing.B) {
 	r, wi, ui := hotNeuron()
+	s := NewScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Eval(wi, ui, 0)
-	}
-}
-
-// BenchmarkMaxPool measures one pooling-window evaluation through the
-// encoder-CAM path.
-func BenchmarkMaxPool(b *testing.B) {
-	r, _, _ := hotNeuron()
-	win := []int{1, 3, 0, 2}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.MaxPool(win)
+		fire(r, wi, ui, 0, s)
 	}
 }

@@ -28,16 +28,14 @@ import (
 // It is deliberately built for fidelity, not speed: classifying one CIFAR
 // image simulates hundreds of thousands of NOR cycles. Use small models —
 // or batch them: the per-input evaluation is re-entrant (every FuncRNA is
-// read-only during inference), so InferBatch/ErrorRate fan the batch out
-// across cores while keeping predictions and Stats totals bit-identical to
-// the serial path.
+// read-only during inference), so InferBatchStats fans the batch out across
+// cores while keeping predictions and Stats totals bit-identical to the
+// serial path.
 type HardwareNetwork struct {
 	dev    device.Params
 	layers []*hwLayer
-	// classCount is the size of the logit layer.
-	classCount int
-	inSize     int
-	// Workers bounds the concurrency of InferBatch/ErrorRate; 0 (the
+	inSize int
+	// Workers bounds the concurrency of InferBatchStats/ErrorRate; 0 (the
 	// default) means GOMAXPROCS. Set to 1 to force the serial path.
 	Workers int
 	// Trace, when set, records one span per batch and one per layer per
@@ -48,14 +46,8 @@ type HardwareNetwork struct {
 	// nobs is the optional registry instrumentation installed by Instrument;
 	// nil means uninstrumented.
 	nobs *netObs
-	// Stats aggregates the substrate activity of every inference so far. It
-	// is folded once per input, in input order, so serial and batched runs
-	// accumulate bit-identical totals.
-	Stats crossbar.Stats
-
-	// prot is the active protection configuration; faultCnt accumulates the
-	// fault and protection events of every RNA block (concurrent-safe).
-	prot     fault.Protection
+	// faultCnt accumulates the fault and protection events of every RNA
+	// block (concurrent-safe).
 	faultCnt fault.Counters
 }
 
@@ -80,7 +72,7 @@ type hwLayer struct {
 	groupOf   []int // codebook group per neuron
 	bias      []float32
 	// biasFixed is bias pre-converted to the RNAs' fixed-point domain, so
-	// the re-entrant evaluation passes it straight to FuncRNA.Eval.
+	// the re-entrant evaluation passes it straight to AccumulateBiasScratch.
 	biasFixed []int64
 	// skipPos[n] is the input position a residual neuron adds back.
 	skipPos []int
@@ -112,7 +104,7 @@ func BuildHardwareNetwork(qnet *nn.Network, plans []*composer.LayerPlan, dev dev
 	if len(qnet.Layers) != len(plans) {
 		return nil, fmt.Errorf("rna: %d layers vs %d plans", len(qnet.Layers), len(plans))
 	}
-	h := &HardwareNetwork{dev: dev, inSize: qnet.InSize(), classCount: qnet.OutSize()}
+	h := &HardwareNetwork{dev: dev, inSize: qnet.InSize()}
 	for i, l := range qnet.Layers {
 		p := plans[i]
 		switch t := l.(type) {
@@ -133,7 +125,7 @@ func BuildHardwareNetwork(qnet *nn.Network, plans []*composer.LayerPlan, dev dev
 		case *nn.Recurrent:
 			// The frame slicing of the recurrent executor requires the layer's
 			// input to split into exactly Steps frames of In features; a feed
-			// of any other length would slice out of bounds at Infer time.
+			// of any other length would slice out of bounds at inference time.
 			if i > 0 {
 				if prev := qnet.Layers[i-1].OutSize(); prev != t.In*t.Steps {
 					return nil, fmt.Errorf("rna: recurrent layer %s wants %d×%d = %d input features, previous layer %s provides %d",
@@ -230,7 +222,7 @@ func buildDenseHW(t *nn.Dense, p *composer.LayerPlan, next []float32, dev device
 	if next == nil {
 		next = []float32{0} // logits bypass encoding
 	}
-	rna := NewFuncRNAShared(dev, wcb, p.InputCodebook, 0, p.ActTable, relu, next, hwFracBits, planProducts(p, 0))
+	rna := NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, relu, next, hwFracBits, planProducts(p, 0))
 	hl := &hwLayer{kind: p.Kind, plan: p, skip: t.Skip, rnas: []*FuncRNA{rna}}
 	in, out := t.InSize(), t.OutSize()
 	hl.weightIdx = flattenRows(out, in)
@@ -264,7 +256,7 @@ func buildConvHW(t *nn.Conv2D, p *composer.LayerPlan, next []float32, dev device
 	// One functional RNA per codebook group.
 	hl.rnas = make([]*FuncRNA, len(p.WeightCodebooks))
 	for g, wcb := range p.WeightCodebooks {
-		hl.rnas[g] = NewFuncRNAShared(dev, wcb, p.InputCodebook, 0, p.ActTable, relu, next, hwFracBits, planProducts(p, g))
+		hl.rnas[g] = NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, relu, next, hwFracBits, planProducts(p, g))
 	}
 	g := t.Geom
 	outH, outW := g.OutH(), g.OutW()
@@ -365,8 +357,8 @@ func buildRecurrentHW(t *nn.Recurrent, p *composer.LayerPlan, next []float32, de
 		// rnas[0] encodes the final hidden state for the consumer; rnnLoop
 		// re-encodes intermediate states onto the layer's own codebook. Both
 		// share the (wcb, ucb) pair, so a borrowed product table serves both.
-		rnas:    []*FuncRNA{NewFuncRNAShared(dev, wcb, p.InputCodebook, 0, p.ActTable, relu, next, hwFracBits, planProducts(p, 0))},
-		rnnLoop: NewFuncRNAShared(dev, wcb, p.InputCodebook, 0, p.ActTable, relu, p.InputCodebook, hwFracBits, planProducts(p, 0)),
+		rnas:    []*FuncRNA{NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, relu, next, hwFracBits, planProducts(p, 0))},
+		rnnLoop: NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, relu, p.InputCodebook, hwFracBits, planProducts(p, 0)),
 	}
 	// Per hidden neuron j: In edges from the frame (Wx column j) followed by
 	// H edges from the fed-back state (Wh column j), SoA-packed like the
@@ -412,25 +404,6 @@ func buildPoolHW(t *nn.Pool2D, p *composer.LayerPlan, next []float32) *hwLayer {
 	return hl
 }
 
-// Infer classifies one input vector entirely through the hardware path and
-// returns the argmax class. The per-input substrate activity folds into
-// h.Stats, so Infer itself is not safe for concurrent use — use InferBatch
-// to evaluate many inputs in parallel.
-func (h *HardwareNetwork) Infer(x []float32) (int, error) {
-	s := scratchPool.Get().(*Scratch)
-	s.enableCAMCache()
-	pred, stats, err := h.inferOne(x, s)
-	h.foldCAMObs(s)
-	s.disableCAMCache()
-	scratchPool.Put(s)
-	if err != nil {
-		return 0, err
-	}
-	h.Stats = addStats(h.Stats, stats)
-	h.foldObs(1, stats)
-	return pred, nil
-}
-
 // netObs is the registry-side view of a hardware network: inference and
 // substrate counters whose observations are atomic bumps.
 type netObs struct {
@@ -447,8 +420,8 @@ type netObs struct {
 
 // Instrument registers this network's inference and substrate counters in
 // reg (under the given labels, e.g. a model name) and starts folding every
-// successful Infer/InferBatch/InferBatchStats into them. Call it once,
-// before inference begins.
+// successful InferBatchStats into them. Call it once, before inference
+// begins.
 func (h *HardwareNetwork) Instrument(reg *obs.Registry, labels ...obs.Label) {
 	h.nobs = &netObs{
 		infers: reg.Counter("rapidnn_rna_inferences_total", "Inputs classified through the hardware path.", labels...),
@@ -491,9 +464,9 @@ func (h *HardwareNetwork) foldObs(n int, st crossbar.Stats) {
 	o.energy.Add(st.EnergyJ)
 }
 
-// inferOne is the re-entrant evaluation of one input: it only reads the
-// shared network configuration (every FuncRNA is evaluated through
-// EvalScratch, bias passed by value) and returns the input's substrate
+// inferOne is the re-entrant evaluation of one input of h.inSize features:
+// it only reads the shared network configuration (every FuncRNA is
+// evaluated in s, bias passed by value) and returns the input's substrate
 // activity instead of accumulating shared state. All intermediate state —
 // the ping-pong activation buffers, the edge gather buffer, the recurrent
 // frame/state buffers and every per-neuron working set — lives in s, so a
@@ -501,9 +474,6 @@ func (h *HardwareNetwork) foldObs(n int, st crossbar.Stats) {
 // steady state. s must not be shared between concurrent inferOne calls.
 func (h *HardwareNetwork) inferOne(x []float32, s *Scratch) (int, crossbar.Stats, error) {
 	var stats crossbar.Stats
-	if len(x) != h.inSize {
-		return 0, stats, fmt.Errorf("rna: input has %d features, want %d", len(x), h.inSize)
-	}
 	// Virtual layer (§2.2): encode the raw input onto the first compute
 	// layer's codebook. enc/nxt ping-pong between the scratch's two
 	// activation buffers, one swap per layer.
@@ -550,9 +520,9 @@ func (h *HardwareNetwork) inferOne(x []float32, s *Scratch) (int, crossbar.Stats
 					}
 					copy(feed, frame)
 					copy(feed[hl.rnnIn:], hState)
-					e, _, st := r.EvalScratch(hl.weightIdx[j], feed, hl.biasFixed[j], s)
+					pre, st := r.AccumulateBiasScratch(hl.weightIdx[j], feed, hl.biasFixed[j], s)
 					stats = addStats(stats, st)
-					hNext[j] = e
+					hNext[j] = r.encodeValue(r.activate(pre, s), s)
 				}
 				hState, hNext = hNext, hState
 			}
@@ -628,8 +598,7 @@ func (h *HardwareNetwork) inferOne(x []float32, s *Scratch) (int, crossbar.Stats
 					// the input FIFO and adds before encoding (§4.3).
 					z += float64(inCB[enc[hl.skipPos[n]]])
 				}
-				e, _ := r.encodeValue(z, s)
-				out[n] = e
+				out[n] = r.encodeValue(z, s)
 			}
 			enc, nxt = out, enc
 		}
@@ -641,7 +610,7 @@ func (h *HardwareNetwork) inferOne(x []float32, s *Scratch) (int, crossbar.Stats
 // poolCAMStats is the substrate activity one max-pooling window accrues on
 // the encoder NDCAM: one CAM write per window entry and one
 // nearest-to-+∞ search over the refilled rows, priced exactly like
-// ndcam.Write and ndcam.SearchStats on a 16-bit CAM holding the window.
+// ndcam.Write and ndcam.Search on a 16-bit CAM holding the window.
 func poolCAMStats(dev device.Params, window int) crossbar.Stats {
 	const poolStages = (16 + 7) / 8 // pooling reuses the 16-bit encoder CAM
 	return crossbar.Stats{
@@ -670,32 +639,16 @@ func (h *HardwareNetwork) workers(n int) int {
 // InSize returns the number of input features the network consumes.
 func (h *HardwareNetwork) InSize() int { return h.inSize }
 
-// Classes returns the size of the logit layer — the number of classes the
-// argmax comparator selects over.
-func (h *HardwareNetwork) Classes() int { return h.classCount }
-
-// InferBatch classifies every row of x through the hardware path, fanning
-// the batch out over h.Workers goroutines (default GOMAXPROCS). Predictions
-// are returned in row order and the per-input activity folds into h.Stats
-// in row order, so the results — predictions and Stats totals — are
-// bit-identical to calling Infer row by row. When any row fails, the error
-// of the lowest-indexed failing row is returned and h.Stats is untouched.
-func (h *HardwareNetwork) InferBatch(x *tensor.Tensor) ([]int, error) {
-	preds, stats, err := h.InferBatchStats(x)
-	if err != nil {
-		return nil, err
-	}
-	h.Stats = addStats(h.Stats, stats)
-	return preds, nil
-}
-
-// InferBatchStats is the re-entrant form of InferBatch: it returns the
-// batch's substrate activity instead of folding it into h.Stats, and reads
-// only the shared network configuration, so any number of InferBatchStats
-// calls may run concurrently on one HardwareNetwork. This is what a serving
-// layer needs — the batcher aggregates the returned Stats under its own
-// lock. The per-input activity is folded into the returned total in row
-// order, so the totals stay bit-identical to the serial path.
+// InferBatchStats classifies every row of x through the hardware path and
+// returns the predictions in row order together with the batch's substrate
+// activity. The batch fans out over h.Workers goroutines (default
+// GOMAXPROCS); the per-input activity is folded into the returned total in
+// row order, so predictions and totals are bit-identical to evaluating the
+// rows one by one. It reads only the shared network configuration, so any
+// number of InferBatchStats calls may run concurrently on one
+// HardwareNetwork — a serving batcher aggregates the returned Stats under
+// its own lock. When any row fails, the error of the lowest-indexed failing
+// row is returned.
 func (h *HardwareNetwork) InferBatchStats(x *tensor.Tensor) ([]int, crossbar.Stats, error) {
 	var total crossbar.Stats
 	if x == nil {
@@ -704,6 +657,9 @@ func (h *HardwareNetwork) InferBatchStats(x *tensor.Tensor) ([]int, crossbar.Sta
 		return nil, total, nil
 	}
 	n := x.Dim(0)
+	if x.Len() != n*h.inSize {
+		return nil, total, fmt.Errorf("rna: batch of %d rows holds %d features, want %d per row", n, x.Len(), h.inSize)
+	}
 	var sp obs.Span
 	if h.Trace != nil {
 		sp = h.Trace.Start("rna", "infer_batch", obs.L("rows", strconv.Itoa(n)))
@@ -816,38 +772,21 @@ func (h *HardwareNetwork) ClearFaults() {
 // protection compose in either order). Must not run concurrently with
 // inference.
 func (h *HardwareNetwork) SetProtection(p fault.Protection) {
-	h.prot = p
 	h.eachRNA(func(r *FuncRNA) { r.SetProtection(p, &h.faultCnt) })
 }
-
-// Protection returns the active protection configuration.
-func (h *HardwareNetwork) Protection() fault.Protection { return h.prot }
 
 // FaultCounters exposes the network's fault and protection event counters.
 // Callers typically Reset before a measurement and Snapshot after.
 func (h *HardwareNetwork) FaultCounters() *fault.Counters { return &h.faultCnt }
 
-// InjectStuckFaults pins each stored product cell with the given rate in
-// every RNA's crossbar — the plain stuck-at scenario, a convenience wrapper
-// over InjectFaults. Unlike the historical implementation it no longer
-// mutates the product tables: ClearFaults reverts it. It returns the number
-// of corrupting pinned bits; use ErrorRate afterwards to measure the
-// accuracy impact. Must not run concurrently with Infer/InferBatch.
-func (h *HardwareNetwork) InjectStuckFaults(rate float64, seed int64) int {
-	rep, err := h.InjectFaults(fault.Config{StuckRate: rate, Seed: seed})
-	if err != nil {
-		return 0
-	}
-	return rep.StuckBits
-}
-
-// ErrorRate classifies every row of x through the hardware and returns the
-// misclassification fraction. The batch runs through InferBatch, so it
-// parallelizes across h.Workers goroutines while staying bit-identical to
-// the serial per-row evaluation.
+// ErrorRate classifies every row of x through InferBatchStats and returns
+// the misclassification fraction against labels, one label per row.
 func (h *HardwareNetwork) ErrorRate(x *tensor.Tensor, labels []int) (float64, error) {
 	n := x.Dim(0)
-	preds, err := h.InferBatch(x)
+	if len(labels) != n {
+		return 0, fmt.Errorf("rna: %d labels for %d rows", len(labels), n)
+	}
+	preds, _, err := h.InferBatchStats(x)
 	if err != nil {
 		return 0, err
 	}

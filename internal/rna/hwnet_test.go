@@ -9,6 +9,7 @@ import (
 	"repro/internal/composer"
 	"repro/internal/crossbar"
 	"repro/internal/dataset"
+	"repro/internal/fault"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -52,23 +53,22 @@ func TestHardwareNetworkAgreesWithSoftware(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := ds.InSize()
-	agree := 0
 	const n = 60
-	for i := 0; i < n; i++ {
-		row := ds.TestX.Data()[i*in : (i+1)*in]
-		hwPred, err := hw.Infer(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		swPred := re.Predict(tensor.FromSlice(row, 1, in))[0]
-		if hwPred == swPred {
+	batch := tensor.FromSlice(ds.TestX.Data()[:n*in], n, in)
+	hwPreds, stats, err := hw.InferBatchStats(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agree := 0
+	for i, swPred := range re.Predict(batch) {
+		if hwPreds[i] == swPred {
 			agree++
 		}
 	}
 	if agree < n*85/100 {
 		t.Fatalf("hardware agreed with software on only %d/%d inputs", agree, n)
 	}
-	if hw.Stats.NORs == 0 || hw.Stats.EnergyJ == 0 {
+	if stats.NORs == 0 || stats.EnergyJ == 0 {
 		t.Fatal("hardware inference must accrue substrate work")
 	}
 }
@@ -157,7 +157,11 @@ func TestHardwareNetworkFaultInjection(t *testing.T) {
 	errAt := func(rate float64) float64 {
 		hw.ClearFaults()
 		if rate > 0 {
-			if flipped := hw.InjectStuckFaults(rate, faultTestSeed); flipped == 0 {
+			rep, err := hw.InjectFaults(fault.Config{StuckRate: rate, Seed: faultTestSeed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.StuckBits == 0 {
 				t.Fatalf("no faults injected at rate %v", rate)
 			}
 		}
@@ -225,9 +229,30 @@ func TestHardwareNetworkAvgPool(t *testing.T) {
 	}
 }
 
-// InferBatch fans inference out across goroutines; the predictions AND the
-// aggregated substrate stats must be bit-identical to the serial per-input
-// path (run with -race to exercise the re-entrancy of the FuncRNA blocks).
+// perRow answers each row of x with its own one-row InferBatchStats call and
+// returns the predictions and the in-order sum of the per-row Stats — the
+// serial reference every batched run must reproduce bit for bit.
+func perRow(t *testing.T, hw *HardwareNetwork, x *tensor.Tensor) ([]int, crossbar.Stats) {
+	t.Helper()
+	n := x.Dim(0)
+	in := x.Len() / n
+	preds := make([]int, n)
+	var total crossbar.Stats
+	for i := 0; i < n; i++ {
+		p, st, err := hw.InferBatchStats(tensor.FromSlice(x.Data()[i*in:(i+1)*in], 1, in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		preds[i] = p[0]
+		total = addStats(total, st)
+	}
+	return preds, total
+}
+
+// InferBatchStats fans inference out across goroutines; the predictions AND
+// the aggregated substrate stats must be bit-identical to the serial
+// per-input path (run with -race to exercise the re-entrancy of the FuncRNA
+// blocks).
 func TestInferBatchMatchesSerialInfer(t *testing.T) {
 	ds := dataset.Generate(dataset.Config{
 		Name: "hwbatch", NumClasses: 4, InputShape: []int{20},
@@ -251,21 +276,12 @@ func TestInferBatchMatchesSerialInfer(t *testing.T) {
 	const n = 48
 	in := ds.InSize()
 	batch := tensor.FromSlice(ds.TestX.Data()[:n*in], n, in)
-
-	serial := build()
-	var serialPreds []int
-	for i := 0; i < n; i++ {
-		pred, err := serial.Infer(ds.TestX.Data()[i*in : (i+1)*in])
-		if err != nil {
-			t.Fatal(err)
-		}
-		serialPreds = append(serialPreds, pred)
-	}
+	serialPreds, serialStats := perRow(t, build(), batch)
 
 	for _, workers := range []int{1, 4, 16} {
 		hw := build()
 		hw.Workers = workers
-		preds, err := hw.InferBatch(batch)
+		preds, stats, err := hw.InferBatchStats(batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,15 +290,16 @@ func TestInferBatchMatchesSerialInfer(t *testing.T) {
 				t.Fatalf("workers=%d: prediction %d is %d, serial says %d", workers, i, preds[i], serialPreds[i])
 			}
 		}
-		if hw.Stats != serial.Stats {
-			t.Fatalf("workers=%d: batched stats %+v differ from serial %+v", workers, hw.Stats, serial.Stats)
+		if stats != serialStats {
+			t.Fatalf("workers=%d: batched stats %+v differ from serial %+v", workers, stats, serialStats)
 		}
 	}
 }
 
 // BenchmarkHardwareInferBatch measures the hardware-in-the-loop batch at
-// several worker counts. The wall time should fall as workers rise toward
-// GOMAXPROCS while TestInferBatchMatchesSerialInfer pins the results.
+// 1, 2 and GOMAXPROCS workers (each count once). The wall time should fall
+// as workers rise toward GOMAXPROCS while TestInferBatchMatchesSerialInfer
+// pins the results.
 func BenchmarkHardwareInferBatch(b *testing.B) {
 	ds := dataset.Generate(dataset.Config{
 		Name: "hwbench", NumClasses: 4, InputShape: []int{20},
@@ -301,11 +318,15 @@ func BenchmarkHardwareInferBatch(b *testing.B) {
 	}
 	const n = 48
 	batch := tensor.FromSlice(ds.TestX.Data()[:n*ds.InSize()], n, ds.InSize())
-	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+	counts := []int{1, 2}
+	if p := runtime.GOMAXPROCS(0); p > 2 {
+		counts = append(counts, p)
+	}
+	for _, workers := range counts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			hw.Workers = workers
 			for i := 0; i < b.N; i++ {
-				if _, err := hw.InferBatch(batch); err != nil {
+				if _, _, err := hw.InferBatchStats(batch); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -314,7 +335,7 @@ func BenchmarkHardwareInferBatch(b *testing.B) {
 }
 
 // A recurrent layer whose frame geometry does not match the feed from the
-// previous layer must be rejected at build time, and Infer must reject a
+// previous layer must be rejected at build time, and inference must reject a
 // malformed input vector instead of panicking on the frame slice.
 func TestRecurrentInputLengthValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
@@ -339,7 +360,7 @@ func TestRecurrentInputLengthValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hw.Infer(make([]float32, 7)); err == nil {
+	if _, _, err := hw.InferBatchStats(tensor.FromSlice(make([]float32, 7), 1, 7)); err == nil {
 		t.Fatal("short input vector must error, not panic")
 	}
 }
@@ -363,7 +384,8 @@ func TestHardwareNetworkRecurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hwErr, err := hw.ErrorRate(tensor.FromSlice(ds.TestX.Data()[:24*ds.InSize()], 24, ds.InSize()), ds.TestY[:24])
+	x := tensor.FromSlice(ds.TestX.Data()[:24*ds.InSize()], 24, ds.InSize())
+	hwErr, err := hw.ErrorRate(x, ds.TestY[:24])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,14 +393,15 @@ func TestHardwareNetworkRecurrent(t *testing.T) {
 	if hwErr > swErr+0.3 {
 		t.Fatalf("hardware RNN error %v far above software %v", hwErr, swErr)
 	}
-	if hw.Stats.NORs == 0 {
-		t.Fatal("RNN inference must accrue NOR work")
+	if _, st, err := hw.InferBatchStats(x); err != nil || st.NORs == 0 {
+		t.Fatalf("RNN inference must accrue NOR work: %+v, %v", st, err)
 	}
 }
 
-// InferBatch must handle the degenerate batch shapes a serving layer throws
-// at it — an empty batch, a batch of one, and more workers than rows — all
-// without deadlock and bit-identical to serial Infer. Synthetic plans on an
+// InferBatchStats must handle the degenerate batch shapes a serving layer
+// throws at it — an empty batch, a batch of one, and more workers than rows —
+// all without deadlock and bit-identical to the serial per-row path. A batch
+// whose width is not the network's must error. Synthetic plans on an
 // untrained net keep this fast: bit-identity does not need a trained model.
 func TestInferBatchEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
@@ -394,8 +417,8 @@ func TestInferBatchEdgeCases(t *testing.T) {
 		}
 		return hw
 	}
-	if got := build(); got.InSize() != 10 || got.Classes() != 3 {
-		t.Fatalf("accessors report %d features / %d classes, want 10 / 3", got.InSize(), got.Classes())
+	if got := build(); got.InSize() != 10 {
+		t.Fatalf("InSize reports %d features, want 10", got.InSize())
 	}
 
 	const rows = 3
@@ -403,37 +426,29 @@ func TestInferBatchEdgeCases(t *testing.T) {
 	for i := range data {
 		data[i] = 2*rng.Float32() - 1
 	}
-	serial := build()
-	var want []int
-	for i := 0; i < rows; i++ {
-		pred, err := serial.Infer(data[i*10 : (i+1)*10])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, pred)
-	}
+	want, wantStats := perRow(t, build(), tensor.FromSlice(data, rows, 10))
 
 	// Empty batch: the tensor package cannot represent zero rows, so the
 	// serving layer passes nil; it must return immediately with no
 	// predictions and no work.
 	empty := build()
 	empty.Workers = 4
-	preds, err := empty.InferBatch(nil)
+	preds, st, err := empty.InferBatchStats(nil)
 	if err != nil {
 		t.Fatalf("empty batch: %v", err)
 	}
 	if len(preds) != 0 {
 		t.Fatalf("empty batch returned %d predictions", len(preds))
 	}
-	if empty.Stats.NORs != 0 || empty.Stats.Cycles != 0 {
-		t.Fatalf("empty batch accrued substrate work: %+v", empty.Stats)
+	if st != (crossbar.Stats{}) {
+		t.Fatalf("empty batch accrued substrate work: %+v", st)
 	}
 
 	// Batch of one, and Workers from serial up to far beyond the batch size.
 	for _, workers := range []int{0, 1, 8, 64} {
-		one := build()
-		one.Workers = workers
-		preds, err := one.InferBatch(tensor.FromSlice(append([]float32(nil), data[:10]...), 1, 10))
+		hw := build()
+		hw.Workers = workers
+		preds, _, err := hw.InferBatchStats(tensor.FromSlice(append([]float32(nil), data[:10]...), 1, 10))
 		if err != nil {
 			t.Fatalf("workers=%d batch of one: %v", workers, err)
 		}
@@ -441,9 +456,7 @@ func TestInferBatchEdgeCases(t *testing.T) {
 			t.Fatalf("workers=%d batch of one predicted %v, serial says %d", workers, preds, want[0])
 		}
 
-		multi := build()
-		multi.Workers = workers
-		preds, err = multi.InferBatch(tensor.FromSlice(append([]float32(nil), data...), rows, 10))
+		preds, st, err := hw.InferBatchStats(tensor.FromSlice(append([]float32(nil), data...), rows, 10))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -452,13 +465,18 @@ func TestInferBatchEdgeCases(t *testing.T) {
 				t.Fatalf("workers=%d row %d predicted %d, serial says %d", workers, i, preds[i], want[i])
 			}
 		}
-		if multi.Stats != serial.Stats {
-			t.Fatalf("workers=%d: stats %+v differ from serial %+v", workers, multi.Stats, serial.Stats)
+		if st != wantStats {
+			t.Fatalf("workers=%d: stats %+v differ from serial %+v", workers, st, wantStats)
 		}
+	}
+
+	// A batch of the wrong width errors instead of slicing rows apart.
+	if _, _, err := build().InferBatchStats(tensor.FromSlice(data[:2*12], 2, 12)); err == nil {
+		t.Fatal("a 12-feature batch on a 10-feature network must error")
 	}
 }
 
-// InferBatchStats must leave the shared Stats untouched so concurrent
+// InferBatchStats holds no per-call state on the network, so concurrent
 // batches can run on one network; the returned activity still folds in row
 // order, bit-identical to the serial accumulation.
 func TestInferBatchStatsIsReentrant(t *testing.T) {
@@ -483,10 +501,7 @@ func TestInferBatchStatsIsReentrant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := serial.InferBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, wantStats := perRow(t, serial, batch)
 
 	// Two concurrent InferBatchStats runs over the same network.
 	type res struct {
@@ -511,11 +526,23 @@ func TestInferBatchStatsIsReentrant(t *testing.T) {
 				t.Fatalf("concurrent run row %d predicted %d, serial says %d", j, r.preds[j], want[j])
 			}
 		}
-		if r.stats != serial.Stats {
-			t.Fatalf("concurrent run stats %+v differ from serial %+v", r.stats, serial.Stats)
+		if r.stats != wantStats {
+			t.Fatalf("concurrent run stats %+v differ from serial %+v", r.stats, wantStats)
 		}
 	}
-	if hw.Stats != (crossbar.Stats{}) {
-		t.Fatalf("InferBatchStats mutated shared Stats: %+v", hw.Stats)
+}
+
+// ErrorRate needs one label per row: a mismatched label slice is an error,
+// not an index panic.
+func TestErrorRateLabelCount(t *testing.T) {
+	hw := tracedHW(t)
+	x := tensor.FromSlice(make([]float32, 3*10), 3, 10)
+	for _, n := range []int{2, 4} {
+		if _, err := hw.ErrorRate(x, make([]int, n)); err == nil {
+			t.Fatalf("%d labels for 3 rows must error", n)
+		}
+	}
+	if _, err := hw.ErrorRate(x, make([]int, 3)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/composer"
+	"repro/internal/crossbar"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/tensor"
@@ -59,13 +60,13 @@ func TestHardwareNetworkInstrument(t *testing.T) {
 	reg := obs.NewRegistry()
 	hw.Instrument(reg, obs.L("model", "obs"))
 
-	row := make([]float32, 10)
-	if _, err := hw.Infer(row); err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.FromSlice(make([]float32, 2*10), 2, 10)
-	if _, err := hw.InferBatch(x); err != nil {
-		t.Fatal(err)
+	var total crossbar.Stats
+	for _, rows := range []int{1, 2} {
+		_, st, err := hw.InferBatchStats(tensor.FromSlice(make([]float32, rows*10), rows, 10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total = addStats(total, st)
 	}
 
 	var b strings.Builder
@@ -76,13 +77,13 @@ func TestHardwareNetworkInstrument(t *testing.T) {
 	if !strings.Contains(out, `rapidnn_rna_inferences_total{model="obs"} 3`) {
 		t.Fatalf("inference counter wrong:\n%s", out)
 	}
-	// The counters must agree with the accumulated Stats.
+	// The counters must agree with the returned Stats, summed in call order.
 	cyc := hw.nobs.cycles.Value()
-	if cyc == 0 || int64(cyc) != hw.Stats.Cycles {
-		t.Fatalf("cycle counter %d vs Stats.Cycles %d", cyc, hw.Stats.Cycles)
+	if cyc == 0 || int64(cyc) != total.Cycles {
+		t.Fatalf("cycle counter %d vs Stats.Cycles %d", cyc, total.Cycles)
 	}
-	if e := hw.nobs.energy.Value(); e != hw.Stats.EnergyJ {
-		t.Fatalf("energy counter %v vs Stats.EnergyJ %v", e, hw.Stats.EnergyJ)
+	if e := hw.nobs.energy.Value(); e != total.EnergyJ {
+		t.Fatalf("energy counter %v vs Stats.EnergyJ %v", e, total.EnergyJ)
 	}
 }
 

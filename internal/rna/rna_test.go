@@ -184,7 +184,7 @@ func TestFuncRNAMatchesSoftware(t *testing.T) {
 		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
 		bias := float32(rng.Float64()*0.2 - 0.1)
 		tab := quant.BuildActTable(nn.Sigmoid{}, 64, -8, 8, quant.NonLinear)
-		r := NewFuncRNA(dev(), wcb, ucb, bias, tab, false, next, 16)
+		r := NewFuncRNAShared(dev(), wcb, ucb, tab, false, next, 16, nil)
 
 		edges := 64
 		wi := make([]int, edges)
@@ -199,7 +199,8 @@ func TestFuncRNAMatchesSoftware(t *testing.T) {
 		zSW := float64(tab.Eval(float32(pre)))
 		encSW := cluster.Assign(next, float32(zSW))
 
-		encHW, valHW := r.Fire(wi, ui)
+		encHW, _ := fire(r, wi, ui, toFixed(float64(bias), 16), NewScratch())
+		valHW := next[encHW]
 		if encHW == encSW {
 			exact++
 		}
@@ -225,13 +226,13 @@ func TestFuncRNAReLUComparator(t *testing.T) {
 	wcb := randomCodebook(rng, 4, 0.5)
 	ucb := randomCodebook(rng, 4, 1.0)
 	next := []float32{0, 0.25, 0.5, 1}
-	r := NewFuncRNA(dev(), wcb, ucb, 0, nil, true, next, 16)
+	r := NewFuncRNAShared(dev(), wcb, ucb, nil, true, next, 16, nil)
 	// All-most-negative weights on positive inputs → ReLU clamps to 0.
 	wi := []int{0, 0, 0, 0}
 	ui := []int{3, 3, 3, 3}
 	if wcb[0] < 0 && ucb[3] > 0 {
-		enc, val := r.Fire(wi, ui)
-		if enc != 0 || val != 0 {
+		enc, _ := fire(r, wi, ui, 0, NewScratch())
+		if val := next[enc]; enc != 0 || val != 0 {
 			t.Fatalf("negative pre-activation must encode to 0, got idx %d val %v", enc, val)
 		}
 	}
@@ -242,38 +243,41 @@ func TestFuncRNAChargesSubstrateWork(t *testing.T) {
 	wcb := randomCodebook(rng, 8, 0.5)
 	ucb := randomCodebook(rng, 8, 1.0)
 	next := randomCodebook(rng, 8, 1.0)
-	r := NewFuncRNA(dev(), wcb, ucb, 0.1, nil, true, next, 16)
+	r := NewFuncRNAShared(dev(), wcb, ucb, nil, true, next, 16, nil)
 	wi := make([]int, 32)
 	ui := make([]int, 32)
 	for i := range wi {
 		wi[i], ui[i] = rng.Intn(8), rng.Intn(8)
 	}
-	r.Fire(wi, ui)
-	if r.LastStats.NORs == 0 || r.LastStats.EnergyJ == 0 {
-		t.Fatal("Fire must accrue crossbar NOR work")
+	if _, st := fire(r, wi, ui, toFixed(0.1, 16), NewScratch()); st.NORs == 0 || st.EnergyJ == 0 {
+		t.Fatal("a neuron fire must accrue crossbar NOR work")
 	}
 }
 
+// The hardware's max pooling — the window written into the encoder CAM and
+// searched for the nearest to +∞ — picks the largest encoded index, which is
+// what the executor computes directly.
 func TestFuncRNAMaxPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	wcb := randomCodebook(rng, 4, 0.5)
 	ucb := []float32{-1, -0.25, 0.25, 1}
-	r := NewFuncRNA(dev(), wcb, ucb, 0, nil, true, ucb, 16)
-	if got := r.MaxPool([]int{1, 3, 0, 2}); got != 3 {
-		t.Fatalf("MaxPool picked index %d, want 3", got)
+	r := NewFuncRNAShared(dev(), wcb, ucb, nil, true, ucb, 16, nil)
+	if got, _ := maxPoolOracle(r, ucb, []int{1, 3, 0, 2}); got != 3 {
+		t.Fatalf("max pool picked index %d, want 3", got)
 	}
-	if got := r.MaxPool([]int{2}); got != 2 {
-		t.Fatalf("singleton MaxPool = %d", got)
+	if got, _ := maxPoolOracle(r, ucb, []int{2}); got != 2 {
+		t.Fatalf("singleton max pool = %d", got)
 	}
 }
 
 func TestFuncRNAValidation(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewFuncRNA(dev(), nil, []float32{1}, 0, nil, true, []float32{1}, 8) },
-		func() { NewFuncRNA(dev(), []float32{1}, []float32{1}, 0, nil, false, []float32{1}, 8) },
+		func() { NewFuncRNAShared(dev(), nil, []float32{1}, nil, true, []float32{1}, 8, nil) },
+		func() { NewFuncRNAShared(dev(), []float32{1}, []float32{1}, nil, false, []float32{1}, 8, nil) },
+		func() { NewFuncRNAShared(dev(), []float32{1}, []float32{1}, nil, true, []float32{1}, 8, []int64{1, 2}) },
 		func() {
-			r := NewFuncRNA(dev(), []float32{1}, []float32{1}, 0, nil, true, []float32{1}, 8)
-			r.Fire([]int{0}, []int{0, 1})
+			r := NewFuncRNAShared(dev(), []float32{1}, []float32{1}, nil, true, []float32{1}, 8, nil)
+			r.AccumulateBiasScratch([]int{0}, []int{0, 1}, 0, NewScratch())
 		},
 	} {
 		func() {

@@ -5,23 +5,21 @@ import (
 
 	"repro/internal/counting"
 	"repro/internal/crossbar"
-	"repro/internal/device"
-	"repro/internal/ndcam"
 )
 
 // Scratch is the per-worker working set of the hot inference path. Every
 // buffer the pipeline needs between two neuron fires — the counting
 // histogram, the shift-add term and addend lists, the in-memory adder's row
-// storage and schedule table, the batch-scoped CAM lookup cache, the
-// reusable pooling CAM, and the per-input activation buffers of the network
-// executor — lives here, so a worker that owns one Scratch evaluates neurons
-// and whole inputs without allocating in steady state.
+// storage and schedule table, the batch-scoped CAM lookup cache, and the
+// per-input activation buffers of the network executor — lives here, so a
+// worker that owns one Scratch evaluates neurons and whole inputs without
+// allocating in steady state.
 //
 // Ownership rules: a Scratch is NOT safe for concurrent use — it is the
-// mutable state the re-entrant APIs (Eval/AccumulateBias/SearchStats) were
-// stripped of. One goroutine, one Scratch. The zero-config APIs without a
-// scratch parameter borrow one from an internal sync.Pool per call, so they
-// stay allocation-light and safe from any number of goroutines.
+// mutable state the read-only FuncRNA blocks and NDCAM searches are kept
+// free of. One goroutine, one Scratch. InferBatchStats borrows one per
+// worker from an internal sync.Pool, so it stays allocation-light and safe
+// from any number of goroutines.
 type Scratch struct {
 	// Neuron-fire pipeline.
 	counts  []int           // flat (w·u) counting histogram
@@ -32,16 +30,11 @@ type Scratch struct {
 	// Batch-scoped CAM lookup cache (camcache.go): activation and encoder
 	// searches within one batch repeat heavily, so the batch drivers enable
 	// this per-worker memo for their scratch's lifetime. Off (camOn false)
-	// for direct EvalScratch users and pool-borrowed one-shot scratches.
+	// on a fresh scratch until a batch driver arms it.
 	camCache           []camCacheEntry
 	camGen             uint32
 	camOn              bool
 	camHits, camMisses uint64
-
-	// Pooling: one CAM reused across MaxPool windows instead of a fresh
-	// allocation per window. Rebuilt only if the device parameters change.
-	pool    *ndcam.NDCAM
-	poolDev device.Params
 
 	// Network executor (inferOne): ping-pong activation buffers, the edge
 	// gather buffer, and the recurrent state/frame buffers.
@@ -54,19 +47,8 @@ type Scratch struct {
 // retained afterwards.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// poolCAM returns the scratch's reusable pooling CAM for the given device,
-// creating or rebuilding it only when the device parameters change.
-func (s *Scratch) poolCAM(dev device.Params) *ndcam.NDCAM {
-	if s.pool == nil || s.poolDev != dev {
-		s.pool = ndcam.New(dev, 16, ndcam.Weighted)
-		s.poolDev = dev
-	}
-	return s.pool
-}
-
-// scratchPool backs the zero-config APIs: callers that do not thread a
-// Scratch borrow one per call, so the historical signatures keep working
-// and stay allocation-free in steady state.
+// scratchPool backs InferBatchStats: each batch worker borrows one Scratch
+// for its share of the rows, so steady-state batches allocate no working set.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 // resizeInts returns buf resized to n entries, reallocating only on growth.

@@ -3,7 +3,7 @@
 // from memory for all future executions. It turns a composed model into an
 // HTTP/JSON inference service with a dynamic micro-batcher — concurrent
 // single-row requests are coalesced into one batched inference so the
-// worker-pool throughput of rna.InferBatch is available to independent
+// worker-pool throughput of rna.InferBatchStats is available to independent
 // clients — plus the production plumbing around it: a bounded admission
 // queue with explicit backpressure, per-request deadlines, graceful
 // draining shutdown, and a metrics surface (/healthz, /stats).

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/composer"
+	"repro/internal/fault"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -65,8 +66,8 @@ func TestSelfTestCoversHardwarePath(t *testing.T) {
 		t.Fatalf("fresh model unhealthy: %+v", rep)
 	}
 	// A heavy stuck-fault overlay corrupts the hardware answers only.
-	if n := m.hwNet().InjectStuckFaults(0.2, 3); n == 0 {
-		t.Fatal("no faults injected")
+	if rep, err := m.hwNet().InjectFaults(fault.Config{StuckRate: 0.2, Seed: 3}); err != nil || rep.StuckBits == 0 {
+		t.Fatalf("no faults injected: %+v, %v", rep, err)
 	}
 	rep := m.SelfTest()
 	if rep.SoftwareFailed != 0 {
