@@ -211,9 +211,11 @@ func (b *Batcher) run() {
 func (b *Batcher) dispatch(batch []*request) {
 	live := make([]*request, 0, len(batch))
 	for _, req := range batch {
+		// Each outcome is counted before it is delivered, so a caller that
+		// reads the metrics once Submit returns sees its own request.
 		if err := req.ctx.Err(); err != nil {
-			req.resp <- result{err: err}
 			b.met.cancel()
+			req.resp <- result{err: err}
 			continue
 		}
 		live = append(live, req)
@@ -243,8 +245,8 @@ func (b *Batcher) dispatch(batch []*request) {
 	}
 	if err != nil {
 		for _, req := range live {
-			req.resp <- result{err: err}
 			b.met.fail()
+			req.resp <- result{err: err}
 		}
 		return
 	}
@@ -256,12 +258,12 @@ func (b *Batcher) dispatch(batch []*request) {
 		// (Submit returned ctx.Err()); counting the delivery as completed
 		// with an observed latency would flatter the stats.
 		if cerr := req.ctx.Err(); cerr != nil {
-			req.resp <- result{err: cerr}
 			b.met.cancel()
+			req.resp <- result{err: cerr}
 			continue
 		}
-		req.resp <- result{pred: preds[i]}
 		b.met.observeDone(now.Sub(req.enqueued))
+		req.resp <- result{pred: preds[i]}
 	}
 }
 
