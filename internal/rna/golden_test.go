@@ -248,6 +248,31 @@ func scoreArtifact(t *testing.T, hw *rna.HardwareNetwork, rows *tensor.Tensor, r
 	return d.sum()
 }
 
+// TestGoldenArtifactsResaveByteIdentical pins the RAPIDNN2 writer against the
+// committed artifacts: loading each one and writing it back with SaveFlat
+// must reproduce the file byte for byte.
+func TestGoldenArtifactsResaveByteIdentical(t *testing.T) {
+	for _, a := range goldenArtifacts {
+		want, err := os.ReadFile(a.path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := composer.LoadFile(a.path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		err = c.SaveFlat(&buf)
+		c.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", a.name, err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s: re-saved artifact differs from %s (%d vs %d bytes)", a.name, a.path(), buf.Len(), len(want))
+		}
+	}
+}
+
 // TestGoldenExecutorDigests pins the hardware executor's outputs across
 // commits: predictions, per-row substrate Stats and fault counters on small
 // committed artifacts, fault-free and under one seeded fault map. A change
