@@ -6,6 +6,7 @@ package rapidnn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -63,7 +64,7 @@ func TestCLIEndToEnd(t *testing.T) {
 		t.Errorf("bench stage trace missing artifact spans: %v", err)
 	}
 
-	// rapidnn-compose: train, compose, save an artifact.
+	// rapidnn-compose: train, compose, save a RAPIDNN2 artifact.
 	composeBin := buildCmd(t, dir, "rapidnn-compose")
 	modelPath := filepath.Join(dir, "mnist.rapidnn")
 	out = runCmd(t, composeBin, "-dataset", "MNIST", "-scale", "0.1", "-epochs", "3",
@@ -71,29 +72,18 @@ func TestCLIEndToEnd(t *testing.T) {
 	if !strings.Contains(out, "reinterpreted error") || !strings.Contains(out, "saved composed model") {
 		t.Errorf("compose output unexpected:\n%s", out)
 	}
-	if fi, err := os.Stat(modelPath); err != nil || fi.Size() == 0 {
-		t.Fatalf("artifact missing: %v", err)
+	if raw, err := os.ReadFile(modelPath); err != nil || !bytes.HasPrefix(raw, []byte("RAPIDNN2")) {
+		t.Fatalf("RAPIDNN2 artifact missing: %v", err)
 	}
 
-	// rapidnn-infer: load the artifact, validate a few samples in hardware.
+	// rapidnn-infer: mmap-load the artifact, validate a few samples in
+	// hardware, then bulk-score a feature CSV through the same artifact.
 	inferBin := buildCmd(t, dir, "rapidnn-infer")
 	out = runCmd(t, inferBin, "-model", modelPath, "-dataset", "MNIST", "-hw", "3")
-	for _, want := range []string{"software reinterpreted error", "hardware/software agreement", "NOR cycles"} {
+	for _, want := range []string{"(mapped)", "software reinterpreted error", "hardware/software agreement", "NOR cycles"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("infer output missing %q:\n%s", want, out)
 		}
-	}
-
-	// RAPIDNN2 artifact story: transcode the gob artifact to the flat format,
-	// mmap-load it in infer, and bulk-score a feature CSV through it.
-	flatPath := filepath.Join(dir, "mnist.rapidnn2")
-	out = runCmd(t, composeBin, "-convert", modelPath, "-save", flatPath, "-format", "flat")
-	if !strings.Contains(out, "converted") {
-		t.Errorf("convert output unexpected:\n%s", out)
-	}
-	out = runCmd(t, inferBin, "-model", flatPath, "-dataset", "MNIST")
-	if !strings.Contains(out, "(mapped)") || !strings.Contains(out, "software reinterpreted error") {
-		t.Errorf("flat infer output unexpected:\n%s", out)
 	}
 	ds, err := dataset.ByName("MNIST", dataset.Small)
 	if err != nil {
@@ -117,7 +107,7 @@ func TestCLIEndToEnd(t *testing.T) {
 	if err := os.WriteFile(scoreCSV, []byte(csv.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out = runCmd(t, inferBin, "-model", flatPath, "-score", scoreCSV, "-out", predsPath, "-header", "-batch", "2")
+	out = runCmd(t, inferBin, "-model", modelPath, "-score", scoreCSV, "-out", predsPath, "-header", "-batch", "2")
 	if !strings.Contains(out, "scored 5 rows") {
 		t.Errorf("bulk-scoring summary missing:\n%s", out)
 	}
@@ -133,6 +123,20 @@ func TestCLIEndToEnd(t *testing.T) {
 		if c, err := strconv.Atoi(p); err != nil || c < 0 || c >= ds.NumClasses {
 			t.Fatalf("prediction %d is %q, want a class in [0,%d)", i, p, ds.NumClasses)
 		}
+	}
+
+	// A retired RAPIDNN1 gob artifact is refused with a named-magic error.
+	var gobRaw bytes.Buffer
+	if err := gob.NewEncoder(&gobRaw).Encode(struct{ Magic string }{"RAPIDNN1"}); err != nil {
+		t.Fatal(err)
+	}
+	gobPath := filepath.Join(dir, "old.rapidnn")
+	if err := os.WriteFile(gobPath, gobRaw.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gobOut, err := exec.Command(inferBin, "-model", gobPath, "-dataset", "MNIST").CombinedOutput()
+	if err == nil || !strings.Contains(string(gobOut), "not a RAPIDNN2 artifact (magic") {
+		t.Errorf("infer on a gob artifact: err %v, output:\n%s", err, gobOut)
 	}
 
 	// rapidnn-sim: analytic + event simulation + trace export, plus the

@@ -5,13 +5,10 @@
 // Usage:
 //
 //	rapidnn-compose [-dataset MNIST] [-scale 0.25] [-epochs 8] [-w 64] [-u 64] [-iters 5]
-//	rapidnn-compose -save model.rapidnn -format flat        # write a RAPIDNN2 artifact
-//	rapidnn-compose -convert old.rapidnn -save new.rapidnn -format flat
+//	rapidnn-compose -save model.rapidnn
 //
-// -format selects the artifact encoding for -save: "gob" is the RAPIDNN1
-// stream, "flat" the zero-copy RAPIDNN2 layout that mmap-loads with no
-// decode pass. -convert skips training entirely and transcodes an existing
-// artifact (either format) into -save.
+// -save writes the composed model as a RAPIDNN2 artifact, the zero-copy
+// layout rapidnn-infer and rapidnn-serve mmap with no decode pass.
 package main
 
 import (
@@ -33,27 +30,8 @@ func main() {
 	u := flag.Int("u", 64, "input codebook size")
 	iters := flag.Int("iters", 5, "max composer iterations")
 	share := flag.Float64("share", 0, "RNA sharing fraction (0..0.3)")
-	savePath := flag.String("save", "", "write the composed model to this file")
-	format := flag.String("format", "gob", "artifact format for -save: gob (RAPIDNN1) or flat (RAPIDNN2, zero-copy mmap)")
-	convert := flag.String("convert", "", "transcode this existing artifact into -save (skips training)")
+	savePath := flag.String("save", "", "write the composed model to this file as a RAPIDNN2 artifact")
 	flag.Parse()
-
-	if *format != "gob" && *format != "flat" {
-		fmt.Fprintf(os.Stderr, "rapidnn-compose: unknown -format %q (valid: gob, flat)\n", *format)
-		os.Exit(1)
-	}
-	if *convert != "" {
-		if *savePath == "" {
-			fmt.Fprintln(os.Stderr, "rapidnn-compose: -convert needs -save for the output path")
-			os.Exit(1)
-		}
-		if err := convertArtifact(*convert, *savePath, *format == "flat"); err != nil {
-			fmt.Fprintf(os.Stderr, "rapidnn-compose: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("converted %s to %s (%s)\n", *convert, *savePath, *format)
-		return
-	}
 
 	var bm *model.Benchmark
 	for _, b := range model.Benchmarks(dataset.Small, *scale) {
@@ -103,12 +81,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rapidnn-compose: %v\n", err)
 			os.Exit(1)
 		}
-		if *format == "flat" {
-			err = c.SaveFlat(f)
-		} else {
-			err = c.Save(f)
-		}
-		if err != nil {
+		if err := c.SaveFlat(f); err != nil {
 			f.Close()
 			fmt.Fprintf(os.Stderr, "rapidnn-compose: save: %v\n", err)
 			os.Exit(1)
@@ -117,7 +90,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "rapidnn-compose: close: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("  saved composed model to %s (%s)\n", *savePath, *format)
+		fmt.Printf("  saved composed model to %s (%s)\n", *savePath, composer.FormatFlat)
 	}
 	fmt.Println("\nper-layer plans:")
 	for _, p := range c.Plans {
@@ -132,23 +105,4 @@ func main() {
 			p.Name, p.Kind, p.Neurons, p.Edges, p.W(), p.U(), rows, len(p.WeightCodebooks),
 			float64(mm.NeuronBytes(p))/1024)
 	}
-}
-
-// convertArtifact transcodes src (either format) into dst.
-func convertArtifact(src, dst string, flat bool) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if err := composer.Convert(in, out, flat); err != nil {
-		out.Close()
-		os.Remove(dst)
-		return err
-	}
-	return out.Close()
 }

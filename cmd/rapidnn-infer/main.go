@@ -1,4 +1,4 @@
-// Command rapidnn-infer loads a composed model saved by rapidnn-compose,
+// Command rapidnn-infer maps a RAPIDNN2 artifact saved by rapidnn-compose,
 // evaluates its reinterpreted accuracy on the named benchmark dataset, and
 // optionally validates a number of samples through the functional hardware
 // path — parallel counting, NOR-decomposed in-memory addition and NDCAM
@@ -46,18 +46,14 @@ func main() {
 		os.Exit(1)
 	}
 
-	// RAPIDNN2 artifacts mmap in with no decode pass; gob artifacts decode.
+	// The artifact maps in with no decode pass.
 	c, err := composer.LoadFile(*modelPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rapidnn-infer: %v\n", err)
 		os.Exit(1)
 	}
 	defer c.Close()
-	how := "decoded"
-	if c.Mapped() {
-		how = "mapped"
-	}
-	fmt.Printf("loaded %s (%s): %s\n", *modelPath, how, c.Net.Topology())
+	fmt.Printf("loaded %s (mapped): %s\n", *modelPath, c.Net.Topology())
 	fmt.Printf("recorded quality: baseline %.2f%%, reinterpreted %.2f%%\n",
 		100*c.BaselineError, 100*c.FinalError)
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"math/rand"
 	"net/http"
@@ -35,7 +36,7 @@ func saveArtifact(t *testing.T, path string, c *composer.Composed) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Save(f); err != nil {
+	if err := c.SaveFlat(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -157,5 +158,23 @@ func TestServeCLIShedsCorruptArtifact(t *testing.T) {
 	}
 	if code := predict("sick"); code != http.StatusServiceUnavailable {
 		fail("degraded model answered %d, want 503", code)
+	}
+}
+
+// A retired RAPIDNN1 gob artifact stops the server at boot with a
+// named-magic error instead of serving it.
+func TestServeCLIRejectsGobArtifact(t *testing.T) {
+	bin := buildBinary(t)
+	var raw bytes.Buffer
+	if err := gob.NewEncoder(&raw).Encode(struct{ Magic string }{"RAPIDNN1"}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "old.rapidnn")
+	if err := os.WriteFile(path, raw.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-model", path, "-addr", "127.0.0.1:0").CombinedOutput()
+	if err == nil || !bytes.Contains(out, []byte("not a RAPIDNN2 artifact (magic")) {
+		t.Fatalf("serving a gob artifact: err %v, output:\n%s", err, out)
 	}
 }

@@ -2,7 +2,9 @@ package composer
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/nn"
@@ -25,10 +27,10 @@ func TestComposeEmbedsCanaries(t *testing.T) {
 		t.Fatalf("fresh model fails its own canaries: failed=%d err=%v", failed, err)
 	}
 	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
+	if err := c.SaveFlat(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := LoadFlat(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,23 +94,31 @@ func TestCanariesDetectTampering(t *testing.T) {
 	}
 }
 
-// Load must reject artifacts whose canaries disagree with the network shape.
+// The artifact reader must reject canaries that disagree with the network
+// shape.
 func TestLoadRejectsMalformedCanaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	net := nn.NewNetwork("m").Add(nn.NewDense("out", 4, 2, nn.Identity{}, rng))
 	c := &Composed{Net: net, Plans: SyntheticPlans(net, 4, 4, 8)}
 	for _, bad := range []Canary{
-		{Input: []float32{1, 2}, Pred: 0},        // wrong width
 		{Input: []float32{1, 2, 3, 4}, Pred: 7},  // class out of range
 		{Input: []float32{1, 2, 3, 4}, Pred: -1}, // negative class
 	} {
 		c.Canaries = []Canary{bad}
-		var buf bytes.Buffer
-		if err := c.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(&buf); err == nil {
+		if _, err := LoadFlat(mustSaveFlat(t, c)); err == nil {
 			t.Fatalf("malformed canary %+v accepted", bad)
 		}
+	}
+
+	// A canary of the wrong width: the writer refuses it, and an input
+	// section that does not hold one row per canary fails at load.
+	c.Canaries = []Canary{{Input: []float32{1, 2}, Pred: 0}}
+	if err := c.SaveFlat(io.Discard); err == nil {
+		t.Fatal("SaveFlat wrote a canary of the wrong width")
+	}
+	c.Canaries = []Canary{{Input: []float32{1, 2, 3, 4}, Pred: 0}}
+	raw := relayFlat(t, mustSaveFlat(t, c), func(m *flatMeta) { m.CanaryPreds = append(m.CanaryPreds, 1) })
+	if _, err := LoadFlat(raw); err == nil || !strings.Contains(err.Error(), "canary input values") {
+		t.Fatalf("canary inputs of the wrong length: got %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package composer
 
 import (
-	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,8 +10,8 @@ import (
 )
 
 // coldStartModel is a serving-scale artifact: wide dense stack, 32-level
-// codebooks, 64-row activation tables — big enough that the gob decode pass
-// is dominated by table reconstruction while the flat reader's work stays
+// codebooks, 64-row activation tables — big enough that a decode pass would
+// be dominated by table reconstruction, while the flat reader's work stays
 // proportional to the section count, not the table bytes.
 func coldStartModel(tb testing.TB) *Composed {
 	tb.Helper()
@@ -26,31 +25,11 @@ func coldStartModel(tb testing.TB) *Composed {
 	return c
 }
 
-// BenchmarkColdStart measures artifact-open latency for both formats over
-// the same model: the gob stream decodes every table into fresh heap, the
-// RAPIDNN2 file mmaps and hands out views. The flat path's win is the whole
-// point of the format — load time and allocations independent of how much
-// table data the artifact carries.
+// BenchmarkColdStart measures artifact-open latency: LoadFile mmaps the
+// RAPIDNN2 file and hands out views, so load time and allocations stay
+// independent of how much table data the artifact carries.
 func BenchmarkColdStart(b *testing.B) {
 	c := coldStartModel(b)
-
-	b.Run("gob", func(b *testing.B) {
-		var buf bytes.Buffer
-		if err := c.Save(&buf); err != nil {
-			b.Fatal(err)
-		}
-		raw := buf.Bytes()
-		b.SetBytes(int64(len(raw)))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m, err := Load(bytes.NewReader(raw))
-			if err != nil {
-				b.Fatal(err)
-			}
-			_ = m.Close()
-		}
-	})
 
 	b.Run("flat", func(b *testing.B) {
 		path := filepath.Join(b.TempDir(), "cold.rapidnn")
@@ -72,7 +51,7 @@ func BenchmarkColdStart(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m, err := OpenFlat(path)
+			m, err := LoadFile(path)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -136,8 +136,8 @@ type Composed struct {
 	// (canary.go); they ship inside the serialized artifact.
 	Canaries []Canary
 
-	// release unmaps the backing file of an mmap-loaded (RAPIDNN2) model;
-	// nil for composed or gob-loaded models.
+	// release unmaps the backing file of a model loaded by LoadFile; nil for
+	// composed models and for LoadFlat's in-memory ones.
 	release func() error
 }
 
@@ -145,7 +145,7 @@ type Composed struct {
 func (c *Composed) DeltaE() float64 { return c.FinalError - c.BaselineError }
 
 // Mapped reports whether the model borrows its tables from a file mapping —
-// i.e. it was loaded via OpenFlat/LoadFile from a RAPIDNN2 artifact.
+// i.e. it was loaded by LoadFile.
 func (c *Composed) Mapped() bool { return c.release != nil }
 
 // Close releases the file mapping behind an mmap-loaded model. After Close,

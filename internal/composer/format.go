@@ -1,43 +1,15 @@
 package composer
 
-import (
-	"fmt"
-	"io"
-	"os"
-)
+// FormatFlat is the artifact format reported to the serving fleet for a
+// disk-backed model: the rollout controller compares it (and the
+// version/checksum the server derives per file) against its registry to
+// verify what a replica actually serves.
+const FormatFlat = flatMagic
 
-// Artifact-format identifiers as reported to the serving fleet: the rollout
-// controller compares these strings (and the version/checksum the server
-// derives per file) against its registry to verify what a replica actually
-// serves.
-const (
-	FormatGob  = "RAPIDNN1" // gob stream (serial.go)
-	FormatFlat = "RAPIDNN2" // flat zero-copy layout (flat.go)
-)
-
-// FileFormat sniffs which serialization format an artifact file holds
-// without loading it: the flat magic selects RAPIDNN2, anything else is the
-// RAPIDNN1 gob stream (whose own magic lives inside the encoding and is
-// validated at load time).
-func FileFormat(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", fmt.Errorf("composer: %w", err)
-	}
-	defer f.Close()
-	var head [8]byte
-	n, _ := io.ReadFull(f, head[:])
-	if n == len(head) && string(head[:]) == flatMagic {
-		return FormatFlat, nil
-	}
-	return FormatGob, nil
-}
-
-// VerifyFile is the registry's push gate: it fully loads the artifact in
-// whichever format it holds (exercising every structural validation both
-// readers share) and replays its embedded canaries, returning how many
-// diverged. The model is released before returning — this is a check, not a
-// load.
+// VerifyFile is the registry's push gate: it fully loads the artifact
+// (exercising every structural validation of the reader) and replays its
+// embedded canaries, returning how many diverged. The model is released
+// before returning — this is a check, not a load.
 func VerifyFile(path string) (canariesFailed int, err error) {
 	c, err := LoadFile(path)
 	if err != nil {

@@ -8,25 +8,9 @@ import (
 	"repro/internal/nn"
 )
 
-// fuzzSeedArtifact serializes a small hand-built composed model — a valid
+// fuzzSeedFlat serializes a small hand-built composed model — a valid
 // artifact the fuzzer mutates from, so coverage starts inside the decoder
 // rather than at the magic check.
-func fuzzSeedArtifact(tb testing.TB) []byte {
-	tb.Helper()
-	rng := rand.New(rand.NewSource(61))
-	net := nn.NewNetwork("fuzz").
-		Add(nn.NewDense("fc", 6, 5, nn.ReLU{}, rng)).
-		Add(nn.NewDense("out", 5, 3, nn.Identity{}, rng))
-	c := &Composed{Net: net, Plans: SyntheticPlans(net, 8, 8, 16), BaselineError: 0.1, FinalError: 0.12}
-	c.SynthesizeCanaries(3, 61)
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// fuzzSeedFlat is fuzzSeedArtifact's RAPIDNN2 twin.
 func fuzzSeedFlat(tb testing.TB) []byte {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(62))
@@ -40,39 +24,6 @@ func fuzzSeedFlat(tb testing.TB) []byte {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// FuzzLoad hammers the artifact loader with arbitrary byte streams. The
-// contract under fuzz: Load never panics (corrupted snapshots surface as
-// errors) and always returns exactly one of a model or an error. Load
-// sniffs the format, so flat seeds exercise the RAPIDNN2 path through the
-// same entry point.
-func FuzzLoad(f *testing.F) {
-	valid := fuzzSeedArtifact(f)
-	f.Add(valid)
-	// Truncations and point corruptions of the valid stream seed the mutator
-	// with near-valid inputs that reach deep decoder states.
-	f.Add(valid[:len(valid)/2])
-	flipped := append([]byte(nil), valid...)
-	flipped[len(flipped)/3] ^= 0x40
-	f.Add(flipped)
-	f.Add([]byte{})
-	f.Add([]byte("RAPIDNN1"))
-	f.Add([]byte("not a model at all"))
-	f.Add(fuzzSeedFlat(f))
-	f.Add([]byte(flatMagic))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		c, err := Load(bytes.NewReader(data))
-		if err == nil && c == nil {
-			t.Fatal("Load returned neither a model nor an error")
-		}
-		if err != nil && c != nil {
-			t.Fatal("Load returned a model alongside an error")
-		}
-		if c != nil && len(c.Plans) != len(c.Net.Layers) {
-			t.Fatalf("accepted model has %d plans for %d layers", len(c.Plans), len(c.Net.Layers))
-		}
-	})
 }
 
 // FuzzLoadFlat drives the RAPIDNN2 reader directly with arbitrary bytes:

@@ -1,195 +1,52 @@
 package composer
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"repro/internal/nn"
-	"repro/internal/quant"
-	"repro/internal/tensor"
 )
 
-// This file serializes composed models: the quantized network together with
-// its layer plans — everything the accelerator needs at configuration time
-// (§3.3) — in a self-contained gob stream. A deployment can therefore run
-// the composer once offline and ship the artifact, exactly as the paper
-// amortizes the composer across "all future executions" (§5.2).
+// This file maps network layers to and from their RAPIDNN2 form (flat.go):
+// a flatLayer header of shapes and names plus the layer's weight arrays.
+// Together with the layer plans, that is everything the accelerator needs at
+// configuration time (§3.3), so a deployment runs the composer once offline
+// and ships the artifact, exactly as the paper amortizes the composer across
+// "all future executions" (§5.2).
 
-const serialMagic = "RAPIDNN1"
-
-type layerSnapshot struct {
-	Kind string // dense | conv | pool | dropout | recurrent
-	Name string
-	Act  string
-	Skip bool
-
-	// dense
-	In, Out int
-	// conv / pool
-	Geom     tensor.ConvGeom
-	OutC     int
-	PoolKind int
-	// recurrent
-	Hidden, Steps int
-	// dropout
-	Size int
-	Rate float64
-
+// layerWeights are a layer's parameter arrays; SaveFlat writes them as
+// sections in this field order.
+type layerWeights struct {
 	W, B, Wx, Wh []float32
 }
 
-type planSnapshot struct {
-	Kind            int
-	Name            string
-	WeightCodebooks [][]float32
-	ChannelCodebook []int
-	InputCodebook   []float32
-	ActName         string
-	ActY, ActZ      []float32
-	Neurons, Edges  int
-	// Index and RawInputs were added after the first artifacts shipped; gob
-	// leaves them zero when decoding an older stream, which matches the old
-	// restore behavior.
-	Index     int
-	RawInputs int
-}
-
-type modelSnapshot struct {
-	Magic         string
-	NetName       string
-	Layers        []layerSnapshot
-	Plans         []planSnapshot
-	BaselineError float64
-	FinalError    float64
-	TotalEpochs   int
-	// Canaries may be absent in artifacts written before the reliability
-	// subsystem; gob leaves the field empty and loaders synthesize instead.
-	Canaries []Canary
-}
-
-// Save writes the composed model (retrained network + plans + quality
-// metadata) to w.
-func (c *Composed) Save(w io.Writer) error {
-	snap := modelSnapshot{
-		Magic:         serialMagic,
-		NetName:       c.Net.Name,
-		BaselineError: c.BaselineError,
-		FinalError:    c.FinalError,
-		TotalEpochs:   c.TotalEpochs,
-		Canaries:      c.Canaries,
-	}
-	for _, l := range c.Net.Layers {
-		ls, err := snapshotLayer(l)
-		if err != nil {
-			return err
-		}
-		snap.Layers = append(snap.Layers, ls)
-	}
-	for _, p := range c.Plans {
-		snap.Plans = append(snap.Plans, snapshotPlan(p))
-	}
-	return gob.NewEncoder(w).Encode(snap)
-}
-
-// Load reads a composed model written by Save or SaveFlat, sniffing the
-// format from the first bytes: a RAPIDNN2 magic selects the flat reader
-// (buffering the stream in memory — use LoadFile/OpenFlat to map a file
-// zero-copy instead), anything else is treated as the RAPIDNN1 gob stream.
-// It never panics on malformed input: a truncated or corrupted stream, a
-// file of some other format, or an internally inconsistent snapshot all come
-// back as descriptive wrapped errors.
-func Load(r io.Reader) (*Composed, error) {
-	var head [8]byte
-	n, err := io.ReadFull(r, head[:])
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return nil, fmt.Errorf("composer: %w", err)
-	}
-	if n == len(head) && string(head[:]) == flatMagic {
-		rest, err := io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("composer: %w", err)
-		}
-		return LoadFlat(append(head[:0:0], append(head[:], rest...)...))
-	}
-	return loadGob(io.MultiReader(bytes.NewReader(head[:n]), r))
-}
-
-func loadGob(r io.Reader) (c *Composed, err error) {
-	// Layer constructors size their tensors from decoded fields; a corrupted
-	// snapshot that slips past the explicit checks below must still surface
-	// as an error, not a panic.
-	defer func() {
-		if p := recover(); p != nil {
-			c, err = nil, fmt.Errorf("composer: corrupted model snapshot: %v", p)
-		}
-	}()
-	var snap modelSnapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("composer: decode model (truncated or corrupted gob stream?): %w", err)
-	}
-	if snap.Magic != serialMagic {
-		return nil, fmt.Errorf("composer: not a %s composed-model file (magic %q, want %q)",
-			serialMagic, snap.Magic, serialMagic)
-	}
-	net := nn.NewNetwork(snap.NetName)
-	for i, ls := range snap.Layers {
-		l, err := restoreLayer(ls)
-		if err != nil {
-			return nil, fmt.Errorf("composer: layer %d (%s): %w", i, ls.Name, err)
-		}
-		net.Add(l)
-	}
-	c = &Composed{
-		Net:           net,
-		BaselineError: snap.BaselineError,
-		FinalError:    snap.FinalError,
-		TotalEpochs:   snap.TotalEpochs,
-	}
-	for _, ps := range snap.Plans {
-		c.Plans = append(c.Plans, restorePlan(ps))
-	}
-	c.Canaries = snap.Canaries
-	if err := validateComposed(c); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-func snapshotLayer(l nn.Layer) (layerSnapshot, error) {
+// snapshotLayer returns the layer's header (with no section references yet)
+// and its weight arrays, which alias the layer's parameters.
+func snapshotLayer(l nn.Layer) (fl flatLayer, w layerWeights, err error) {
 	switch t := l.(type) {
 	case *nn.Dense:
-		return layerSnapshot{
-			Kind: "dense", Name: t.Name(), Act: t.Act.Name(), Skip: t.Skip,
-			In: t.InSize(), Out: t.OutSize(),
-			W: t.W.Value.Data(), B: t.B.Value.Data(),
-		}, nil
+		fl = flatLayer{Kind: "dense", Name: t.Name(), Act: t.Act.Name(), Skip: t.Skip, In: t.InSize(), Out: t.OutSize()}
+		w = layerWeights{W: t.W.Value.Data(), B: t.B.Value.Data()}
 	case *nn.Conv2D:
-		return layerSnapshot{
-			Kind: "conv", Name: t.Name(), Act: t.Act.Name(), Skip: t.Skip,
-			Geom: t.Geom, OutC: t.OutC,
-			W: t.W.Value.Data(), B: t.B.Value.Data(),
-		}, nil
+		fl = flatLayer{Kind: "conv", Name: t.Name(), Act: t.Act.Name(), Skip: t.Skip, Geom: t.Geom, OutC: t.OutC}
+		w = layerWeights{W: t.W.Value.Data(), B: t.B.Value.Data()}
 	case *nn.Pool2D:
-		return layerSnapshot{Kind: "pool", Name: t.Name(), Geom: t.Geom, PoolKind: int(t.Kind)}, nil
+		fl = flatLayer{Kind: "pool", Name: t.Name(), Geom: t.Geom, PoolKind: int(t.Kind)}
 	case *nn.Dropout:
-		return layerSnapshot{Kind: "dropout", Name: t.Name(), Size: t.InSize(), Rate: t.Rate}, nil
+		fl = flatLayer{Kind: "dropout", Name: t.Name(), Size: t.InSize(), Rate: t.Rate}
 	case *nn.Recurrent:
-		return layerSnapshot{
-			Kind: "recurrent", Name: t.Name(), Act: t.Act.Name(),
-			In: t.In, Hidden: t.H, Steps: t.Steps,
-			Wx: t.Wx.Value.Data(), Wh: t.Wh.Value.Data(), B: t.B.Value.Data(),
-		}, nil
+		fl = flatLayer{Kind: "recurrent", Name: t.Name(), Act: t.Act.Name(), In: t.In, Hidden: t.H, Steps: t.Steps}
+		w = layerWeights{Wx: t.Wx.Value.Data(), Wh: t.Wh.Value.Data(), B: t.B.Value.Data()}
+	default:
+		err = fmt.Errorf("composer: cannot serialize layer %T", l)
 	}
-	return layerSnapshot{}, fmt.Errorf("composer: cannot serialize layer %T", l)
+	return fl, w, err
 }
 
-// fillParam copies a decoded weight slice into a freshly constructed
-// parameter tensor, rejecting snapshots whose slice length disagrees with
-// the layer geometry — the signature of a corrupted stream that still
-// decoded as valid gob.
+// fillParam copies a loaded weight slice into a freshly constructed
+// parameter tensor, rejecting artifacts whose slice length disagrees with
+// the layer geometry — the signature of a corrupted header whose sections
+// still checksum.
 func fillParam(dst []float32, src []float32, param string) error {
 	if len(src) != len(dst) {
 		return fmt.Errorf("%s tensor has %d values, layer geometry wants %d", param, len(src), len(dst))
@@ -198,7 +55,7 @@ func fillParam(dst []float32, src []float32, param string) error {
 	return nil
 }
 
-func restoreLayer(ls layerSnapshot) (nn.Layer, error) {
+func restoreLayer(ls flatLayer, w layerWeights) (nn.Layer, error) {
 	act := nn.ActivationByName(ls.Act)
 	if act == nil && (ls.Kind == "dense" || ls.Kind == "conv" || ls.Kind == "recurrent") {
 		return nil, fmt.Errorf("unknown activation %q", ls.Act)
@@ -210,10 +67,10 @@ func restoreLayer(ls layerSnapshot) (nn.Layer, error) {
 		}
 		d := nn.NewDense(ls.Name, ls.In, ls.Out, act, nil)
 		d.Skip = ls.Skip
-		if err := fillParam(d.W.Value.Data(), ls.W, "weight"); err != nil {
+		if err := fillParam(d.W.Value.Data(), w.W, "weight"); err != nil {
 			return nil, err
 		}
-		if err := fillParam(d.B.Value.Data(), ls.B, "bias"); err != nil {
+		if err := fillParam(d.B.Value.Data(), w.B, "bias"); err != nil {
 			return nil, err
 		}
 		return d, nil
@@ -223,10 +80,10 @@ func restoreLayer(ls layerSnapshot) (nn.Layer, error) {
 		}
 		c := nn.NewConv2D(ls.Name, ls.Geom, ls.OutC, act, nil)
 		c.Skip = ls.Skip
-		if err := fillParam(c.W.Value.Data(), ls.W, "weight"); err != nil {
+		if err := fillParam(c.W.Value.Data(), w.W, "weight"); err != nil {
 			return nil, err
 		}
-		if err := fillParam(c.B.Value.Data(), ls.B, "bias"); err != nil {
+		if err := fillParam(c.B.Value.Data(), w.B, "bias"); err != nil {
 			return nil, err
 		}
 		return c, nil
@@ -240,8 +97,8 @@ func restoreLayer(ls layerSnapshot) (nn.Layer, error) {
 			return nil, fmt.Errorf("dropout layer has non-positive size %d", ls.Size)
 		}
 		// Weighted layers above take a nil rng: their parameters are
-		// overwritten from the snapshot, and skipping the random init is most
-		// of a cold start's CPU on large models. Dropout draws masks at
+		// overwritten from the artifact, and skipping the random init is
+		// most of a cold start's CPU on large models. Dropout draws masks at
 		// training time, so it alone gets a real source.
 		return nn.NewDropout(ls.Name, ls.Size, ls.Rate, rand.New(rand.NewSource(1))), nil
 	case "recurrent":
@@ -249,52 +106,16 @@ func restoreLayer(ls layerSnapshot) (nn.Layer, error) {
 			return nil, fmt.Errorf("recurrent layer has non-positive shape in=%d h=%d steps=%d", ls.In, ls.Hidden, ls.Steps)
 		}
 		r := nn.NewRecurrent(ls.Name, ls.In, ls.Hidden, ls.Steps, act, nil)
-		if err := fillParam(r.Wx.Value.Data(), ls.Wx, "input-weight"); err != nil {
+		if err := fillParam(r.Wx.Value.Data(), w.Wx, "input-weight"); err != nil {
 			return nil, err
 		}
-		if err := fillParam(r.Wh.Value.Data(), ls.Wh, "hidden-weight"); err != nil {
+		if err := fillParam(r.Wh.Value.Data(), w.Wh, "hidden-weight"); err != nil {
 			return nil, err
 		}
-		if err := fillParam(r.B.Value.Data(), ls.B, "bias"); err != nil {
+		if err := fillParam(r.B.Value.Data(), w.B, "bias"); err != nil {
 			return nil, err
 		}
 		return r, nil
 	}
 	return nil, fmt.Errorf("unknown layer kind %q", ls.Kind)
-}
-
-func snapshotPlan(p *LayerPlan) planSnapshot {
-	ps := planSnapshot{
-		Kind: int(p.Kind), Name: p.Name,
-		WeightCodebooks: p.WeightCodebooks,
-		ChannelCodebook: p.ChannelCodebook,
-		InputCodebook:   p.InputCodebook,
-		Neurons:         p.Neurons, Edges: p.Edges,
-		Index:     p.Index,
-		RawInputs: p.RawInputs,
-	}
-	if p.ActTable != nil {
-		ps.ActName = p.ActTable.Name
-		ps.ActY = p.ActTable.Y
-		ps.ActZ = p.ActTable.Z
-	}
-	return ps
-}
-
-func restorePlan(ps planSnapshot) *LayerPlan {
-	p := &LayerPlan{
-		Kind: LayerKind(ps.Kind), Name: ps.Name,
-		WeightCodebooks: ps.WeightCodebooks,
-		ChannelCodebook: ps.ChannelCodebook,
-		InputCodebook:   ps.InputCodebook,
-		Neurons:         ps.Neurons, Edges: ps.Edges,
-		Index:     ps.Index,
-		RawInputs: ps.RawInputs,
-	}
-	// A present-but-mismatched table (ActZ shorter than ActY, unsorted Y)
-	// is rejected downstream by validatePlan, which both readers run.
-	if len(ps.ActY) > 0 || len(ps.ActZ) > 0 {
-		p.ActTable = &quant.ActTable{Name: ps.ActName, Y: ps.ActY, Z: ps.ActZ}
-	}
-	return p
 }

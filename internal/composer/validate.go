@@ -6,12 +6,12 @@ import (
 	"repro/internal/nn"
 )
 
-// Load-time validation shared by the gob (RAPIDNN1) and flat (RAPIDNN2)
-// readers. The loader is the trust boundary of the whole serving stack:
-// everything downstream — the reinterpreted predictor, the hardware lowering,
-// the NDCAM searches — indexes plan tables without re-checking them, so a
-// corrupted artifact must be rejected here with a descriptive error, not
-// discovered as a panic on a serving goroutine.
+// Load-time validation of RAPIDNN2 artifacts. The loader is the trust
+// boundary of the whole serving stack: everything downstream — the
+// reinterpreted predictor, the hardware lowering, the NDCAM searches —
+// indexes plan tables without re-checking them, so a corrupted artifact must
+// be rejected here with a descriptive error, not discovered as a panic on a
+// serving goroutine.
 
 // expectedPlanKind maps a restored layer to the plan kind its composition
 // must have produced.
@@ -51,7 +51,7 @@ func validatePlan(p *LayerPlan) error {
 		return fmt.Errorf("negative geometry: neurons=%d edges=%d", p.Neurons, p.Edges)
 	}
 	if t := p.ActTable; t != nil {
-		// A Y/Z length mismatch (or an empty Z) would escape Load today and
+		// A Y/Z length mismatch (or an empty Z) would otherwise load and
 		// panic later inside ActTable.Eval / the NDCAM activation search on a
 		// serving goroutine — exactly the corruption this check front-loads.
 		if len(t.Z) == 0 {
@@ -96,8 +96,9 @@ func validatePlan(p *LayerPlan) error {
 		}
 	}
 	if len(p.Products) > 0 {
-		// Pre-composed product tables (RAPIDNN2 only) must cover every
-		// codebook group at the table geometry the lowering will index.
+		// Pre-composed product tables (loaded plans carry them, freshly
+		// composed ones do not) must cover every codebook group at the table
+		// geometry the lowering will index.
 		if len(p.Products) != len(p.WeightCodebooks) {
 			return fmt.Errorf("%d product tables for %d codebook groups", len(p.Products), len(p.WeightCodebooks))
 		}
@@ -112,7 +113,7 @@ func validatePlan(p *LayerPlan) error {
 
 // validateComposed cross-checks a fully restored model: plan/layer counts,
 // per-plan consistency, plan-kind-vs-layer-kind agreement, and canary
-// geometry. Both artifact readers run it as their final gate.
+// geometry. The artifact reader runs it as its final gate.
 func validateComposed(c *Composed) error {
 	if len(c.Plans) != len(c.Net.Layers) {
 		return fmt.Errorf("composer: %d plans for %d layers", len(c.Plans), len(c.Net.Layers))

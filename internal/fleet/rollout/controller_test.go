@@ -113,7 +113,7 @@ func testRegistry(t *testing.T) *Registry {
 		t.Fatal(err)
 	}
 	for i, v := range []string{"v1", "v2"} {
-		raw := artifactBytes(t, buildComposed(t, int64(10+i)), true)
+		raw := artifactBytes(t, buildComposed(t, int64(10+i)))
 		if _, err := reg.Push("m", v, bytes.NewReader(raw)); err != nil {
 			t.Fatal(err)
 		}

@@ -91,8 +91,8 @@ func (r *Registry) Resolve(model, version string) (string, error) {
 }
 
 // Push stores a new version: the bytes are written to a temp file, fully
-// verified (the artifact must load cleanly in either format and replay its
-// embedded canaries without divergence — the registry refuses corrupt or
+// verified (the artifact must load cleanly and replay its embedded
+// canaries without divergence — the registry refuses corrupt or
 // stale pushes outright, so the fleet only ever rolls out artifacts that at
 // least passed offline validation), then renamed into place. Pushing an
 // existing (model, version) is an error: versions are immutable.

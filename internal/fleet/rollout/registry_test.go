@@ -24,17 +24,11 @@ func buildComposed(t *testing.T, seed int64) *composer.Composed {
 	return c
 }
 
-// artifactBytes serializes a model in either format.
-func artifactBytes(t *testing.T, c *composer.Composed, flat bool) []byte {
+// artifactBytes serializes a model as a RAPIDNN2 artifact.
+func artifactBytes(t *testing.T, c *composer.Composed) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	var err error
-	if flat {
-		err = c.SaveFlat(&buf)
-	} else {
-		err = c.Save(&buf)
-	}
-	if err != nil {
+	if err := c.SaveFlat(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -45,15 +39,15 @@ func TestRegistryPushResolveVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := artifactBytes(t, buildComposed(t, 1), false) // gob
-	v2 := artifactBytes(t, buildComposed(t, 2), true)  // flat
+	v1 := artifactBytes(t, buildComposed(t, 1))
+	v2 := artifactBytes(t, buildComposed(t, 2))
 
 	p1, err := reg.Push("mnist", "v1", bytes.NewReader(v1))
 	if err != nil {
-		t.Fatalf("pushing valid gob artifact: %v", err)
+		t.Fatalf("pushing valid artifact v1: %v", err)
 	}
 	if _, err := reg.Push("mnist", "v2", bytes.NewReader(v2)); err != nil {
-		t.Fatalf("pushing valid flat artifact: %v", err)
+		t.Fatalf("pushing valid artifact v2: %v", err)
 	}
 
 	got, err := reg.Resolve("mnist", "v1")
@@ -88,7 +82,7 @@ func TestRegistryVersionsAreImmutable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := artifactBytes(t, buildComposed(t, 3), true)
+	raw := artifactBytes(t, buildComposed(t, 3))
 	if _, err := reg.Push("m", "v1", bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +96,7 @@ func TestRegistryRejectsCorruptPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := artifactBytes(t, buildComposed(t, 4), true)
+	raw := artifactBytes(t, buildComposed(t, 4))
 	raw[len(raw)/2] ^= 0xFF // flip a byte mid-artifact: CRC must catch it
 	if _, err := reg.Push("m", "bad", bytes.NewReader(raw)); err == nil {
 		t.Fatal("push of corrupt artifact was accepted")
@@ -131,7 +125,7 @@ func TestRegistryRejectsStaleCanaries(t *testing.T) {
 	for i := range c.Canaries {
 		c.Canaries[i].Pred = (c.Canaries[i].Pred + 1) % c.Net.OutSize()
 	}
-	raw := artifactBytes(t, c, true)
+	raw := artifactBytes(t, c)
 	if _, err := reg.Push("m", "stale", bytes.NewReader(raw)); err == nil {
 		t.Fatal("push of artifact with diverging canaries was accepted")
 	}
@@ -142,7 +136,7 @@ func TestRegistryRejectsTraversalNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := artifactBytes(t, buildComposed(t, 6), true)
+	raw := artifactBytes(t, buildComposed(t, 6))
 	for _, bad := range []string{"", "..", "a/b", `a\b`, "."} {
 		if _, err := reg.Push(bad, "v1", bytes.NewReader(raw)); err == nil {
 			t.Fatalf("Push accepted model name %q", bad)
@@ -161,7 +155,7 @@ func TestRegistryManifestCurrent(t *testing.T) {
 	if cur, err := reg.Current("m"); err != nil || cur != "" {
 		t.Fatalf("Current before any promotion = %q, %v; want empty", cur, err)
 	}
-	raw := artifactBytes(t, buildComposed(t, 7), true)
+	raw := artifactBytes(t, buildComposed(t, 7))
 	if _, err := reg.Push("m", "v1", bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +190,7 @@ func TestRegistryReopenAfterPartialWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := artifactBytes(t, buildComposed(t, 9), true)
+	raw := artifactBytes(t, buildComposed(t, 9))
 	if _, err := reg.Push("m", "v1", bytes.NewReader(raw)); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +231,7 @@ func TestRegistryReopenAfterPartialWrites(t *testing.T) {
 
 	// The interrupted push can be retried cleanly, and promotion over the
 	// debris still lands.
-	raw2 := artifactBytes(t, buildComposed(t, 10), false)
+	raw2 := artifactBytes(t, buildComposed(t, 10))
 	if _, err := reg2.Push("m", "v2", bytes.NewReader(raw2)); err != nil {
 		t.Fatalf("retrying interrupted push: %v", err)
 	}

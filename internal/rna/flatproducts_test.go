@@ -45,13 +45,13 @@ func TestHardwareBorrowsFlatProductTablesBitIdentical(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := composer.OpenFlat(path)
+	loaded, err := composer.LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
 	if !loaded.Mapped() {
-		t.Fatal("OpenFlat did not map the artifact")
+		t.Fatal("LoadFile did not map the artifact")
 	}
 
 	// The loaded plans must actually offer borrowable tables — otherwise this

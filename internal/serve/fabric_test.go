@@ -279,7 +279,7 @@ func TestTenantQuotaIsolatesLatency(t *testing.T) {
 
 // composeArtifacts writes two versions of the same model shape (different
 // weights) plus the registry layout the rollout tests use.
-func writeArtifact(t *testing.T, path string, seed int64, flat bool) {
+func writeArtifact(t *testing.T, path string, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	net := nn.NewNetwork("vtest").
@@ -295,12 +295,7 @@ func writeArtifact(t *testing.T, path string, seed int64, flat bool) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if flat {
-		err = c.SaveFlat(f)
-	} else {
-		err = c.Save(f)
-	}
-	if err != nil {
+	if err := c.SaveFlat(f); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -309,15 +304,15 @@ func TestVersionInfoAndHotSwap(t *testing.T) {
 	dir := t.TempDir()
 	v1 := filepath.Join(dir, "v1.rapidnn")
 	v2 := filepath.Join(dir, "v2.rapidnn")
-	writeArtifact(t, v1, 100, false) // gob
-	writeArtifact(t, v2, 200, true)  // flat: the swap crosses formats too
+	writeArtifact(t, v1, 100)
+	writeArtifact(t, v2, 200)
 
 	m, err := LoadModelFile("vtest", v1, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ver := m.Version()
-	if ver.Version != "v1" || ver.Format != composer.FormatGob || ver.Checksum == "" || ver.LoadedAt.IsZero() {
+	if ver.Version != "v1" || ver.Format != composer.FormatFlat || ver.Checksum == "" || ver.LoadedAt.IsZero() {
 		t.Fatalf("v1 version info = %+v", ver)
 	}
 
@@ -340,7 +335,7 @@ func TestVersionInfoAndHotSwap(t *testing.T) {
 	}
 	json.NewDecoder(resp.Body).Decode(&hz)
 	resp.Body.Close()
-	if got := hz.Versions["vtest"]; got.Version != "v1" || got.Format != composer.FormatGob {
+	if got := hz.Versions["vtest"]; got.Version != "v1" || got.Format != composer.FormatFlat {
 		t.Fatalf("/healthz versions = %+v", hz.Versions)
 	}
 	var ml struct {
@@ -379,6 +374,9 @@ func TestVersionInfoAndHotSwap(t *testing.T) {
 	}
 	if sr.Artifact.Version != "v2" || sr.Artifact.Format != composer.FormatFlat {
 		t.Fatalf("post-swap identity = %+v, want v2/RAPIDNN2", sr.Artifact)
+	}
+	if sr.Artifact.Checksum == "" || sr.Artifact.Checksum == ver.Checksum {
+		t.Fatalf("post-swap checksum %q, want a new one (v1 was %q)", sr.Artifact.Checksum, ver.Checksum)
 	}
 	if got := m.Version(); got.Version != "v2" {
 		t.Fatalf("model still reports %+v after swap", got)

@@ -171,15 +171,20 @@ func TestCanaryLoopCatchesCorruptArtifact(t *testing.T) {
 	// original (now stale) canaries: it loads fine, but self-tests fail.
 	m := syntheticModel(t, false)
 	good := filepath.Join(t.TempDir(), "model.rapidnn")
+	// save replaces the file by rename, never in place: loaded models map
+	// the artifact, and truncating a mapped file under them faults.
 	save := func(path string, c *composer.Composed) {
-		f, err := os.Create(path)
+		f, err := os.Create(path + ".tmp")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Save(f); err != nil {
+		if err := c.SaveFlat(f); err != nil {
 			t.Fatal(err)
 		}
 		f.Close()
+		if err := os.Rename(path+".tmp", path); err != nil {
+			t.Fatal(err)
+		}
 	}
 	save(good, m.Composed)
 

@@ -72,8 +72,8 @@ type VersionInfo struct {
 	// extension for disk-backed models ("v3" for reg/mnist/v3.rapidnn),
 	// "unversioned" for in-memory ones.
 	Version string `json:"version"`
-	// Format is the serialization format served (composer.FormatGob,
-	// composer.FormatFlat, or "in-memory").
+	// Format is the serialization format served: composer.FormatFlat for
+	// disk-backed models, "in-memory" otherwise.
 	Format string `json:"format"`
 	// Checksum fingerprints the artifact file's content (FNV-1a over a
 	// bounded prefix plus the size); empty for in-memory models. Two
@@ -90,10 +90,8 @@ func fileVersionInfo(path string) VersionInfo {
 	base := filepath.Base(path)
 	v := VersionInfo{
 		Version:  strings.TrimSuffix(base, filepath.Ext(base)),
+		Format:   composer.FormatFlat,
 		LoadedAt: time.Now(),
-	}
-	if format, err := composer.FileFormat(path); err == nil {
-		v.Format = format
 	}
 	if sum, err := fileChecksum(path); err == nil {
 		v.Checksum = sum
@@ -101,10 +99,10 @@ func fileVersionInfo(path string) VersionInfo {
 	return v
 }
 
-// checksumPrefix bounds how much of the artifact the fingerprint reads. Both
-// formats carry their real integrity checks inside (gob structure, CRC-32C'd
-// sections); this hash only needs to distinguish versions cheaply, without
-// faulting a whole mmap'd file through the page cache.
+// checksumPrefix bounds how much of the artifact the fingerprint reads. The
+// artifact carries its real integrity checks inside (CRC-32C'd sections);
+// this hash only needs to distinguish versions cheaply, without faulting a
+// whole mmap'd file through the page cache.
 const checksumPrefix = 1 << 20
 
 func fileChecksum(path string) (string, error) {
@@ -157,9 +155,9 @@ func NewModel(name string, c *composer.Composed, hardware bool, hwWorkers int) (
 }
 
 // LoadModelFile reads a .rapidnn artifact saved by rapidnn-compose and
-// wraps it for serving. RAPIDNN2 artifacts are mmap'd zero-copy — the served
-// tables stay views into the page cache, shared across replica processes —
-// and the mapping is released when Scrub swaps the model out. An empty name
+// wraps it for serving. The artifact is mmap'd zero-copy — the served tables
+// stay views into the page cache, shared across replica processes — and the
+// mapping is released when Scrub swaps the model out. An empty name
 // defaults to the file's base name without extension.
 func LoadModelFile(name, path string, hardware bool, hwWorkers int) (*Model, error) {
 	c, err := composer.LoadFile(path)

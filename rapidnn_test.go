@@ -2,6 +2,7 @@ package rapidnn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"strings"
 	"sync"
 	"testing"
@@ -206,6 +207,9 @@ func TestSaveLoadPublicAPI(t *testing.T) {
 	if err := cmp.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.HasPrefix(buf.Bytes(), []byte("RAPIDNN2")) {
+		t.Fatalf("Save wrote magic %q, want RAPIDNN2", buf.Bytes()[:8])
+	}
 	loaded, err := LoadComposed(&buf, ds)
 	if err != nil {
 		t.Fatal(err)
@@ -228,6 +232,18 @@ func TestSaveLoadPublicAPI(t *testing.T) {
 	}
 	if _, err := loaded.Simulate(DeployOptions{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestLoadComposedRejectsGob(t *testing.T) {
+	ds, _, _ := pipeline(t)
+	var raw bytes.Buffer
+	if err := gob.NewEncoder(&raw).Encode(struct{ Magic string }{"RAPIDNN1"}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := LoadComposed(&raw, ds)
+	if err == nil || c != nil || !strings.Contains(err.Error(), "not a RAPIDNN2 artifact (magic") {
+		t.Fatalf("LoadComposed on a gob stream = %v, %v", c, err)
 	}
 }
 
