@@ -146,6 +146,17 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Value() }
 
+// Buckets returns the bucket upper bounds (shared; callers must not modify
+// them) and a fresh copy of each bucket's count, not cumulative. counts has
+// one entry more than bounds: the last is the +Inf bucket.
+func (h *Histogram) Buckets() (bounds []float64, counts []uint64) {
+	counts = make([]uint64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+	}
+	return h.bounds, counts
+}
+
 // ExpBuckets returns n bucket bounds growing geometrically from start by
 // factor — the standard latency layout.
 func ExpBuckets(start, factor float64, n int) []float64 {

@@ -66,8 +66,12 @@ func TestHistogramBuckets(t *testing.T) {
 		h.Observe(v)
 	}
 	want := []uint64{2, 1, 1, 1} // ≤1, (1,5], (5,10], +Inf
+	bounds, counts := h.Buckets()
+	if !equalFloats(bounds, []float64{1, 5, 10}) || len(counts) != len(want) {
+		t.Fatalf("Buckets() = %v, %v", bounds, counts)
+	}
 	for i, w := range want {
-		if got := h.counts[i].Load(); got != w {
+		if got := counts[i]; got != w {
 			t.Fatalf("bucket %d = %d, want %d", i, got, w)
 		}
 	}

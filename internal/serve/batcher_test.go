@@ -246,28 +246,6 @@ func TestBatcherCloseDrainsAdmittedRefusesNew(t *testing.T) {
 	b.Close() // idempotent
 }
 
-func TestQuantileNearestRank(t *testing.T) {
-	sorted := make([]time.Duration, 100)
-	for i := range sorted {
-		sorted[i] = time.Duration(i+1) * time.Millisecond
-	}
-	for _, tc := range []struct {
-		q    float64
-		want time.Duration
-	}{
-		{0.50, 50 * time.Millisecond},
-		{0.99, 99 * time.Millisecond},
-		{1.0, 100 * time.Millisecond},
-	} {
-		if got := quantile(sorted, tc.q); got != tc.want {
-			t.Errorf("quantile(%.2f) = %v, want %v", tc.q, got, tc.want)
-		}
-	}
-	if quantile(nil, 0.5) != 0 {
-		t.Error("empty window must quantile to 0")
-	}
-}
-
 func ExampleBatcher() {
 	b := NewBatcher(BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond}, echoInfer, nil)
 	defer b.Close()
