@@ -7,15 +7,14 @@ import (
 	"time"
 )
 
-// This file is the load-generation half of the serving evaluation: drivers
-// that offer traffic to an inference target (a serve.Batcher, an HTTP
-// endpoint, any func(i int) error) and a latency/throughput report over the
-// completions. Closed-loop holds concurrency constant — each client fires
-// its next request when the previous one returns — while open-loop holds
-// the *arrival rate* constant regardless of completions, the regime where
-// queueing and batching actually show up.
+// This file is the load-generation half of the serving evaluation: an
+// open-loop driver that offers traffic to an inference target (a
+// serve.Batcher, an HTTP endpoint, any func(i int) error) at a fixed arrival
+// rate regardless of completions — the regime where queueing and batching
+// actually show up — and a latency/throughput report over the completions.
 
-// LoadReport summarizes one load-generation run.
+// LoadReport summarizes one load-generation run. Latencies run from each
+// request's due time, so they include any delay in sending it.
 type LoadReport struct {
 	Requests int           // completions observed
 	Errors   int           // completions that returned an error
@@ -25,20 +24,23 @@ type LoadReport struct {
 	Mean          time.Duration
 	P50, P90, P99 time.Duration
 	Max           time.Duration
+	// Late is the most the generator fell behind schedule: the largest gap
+	// between a request's due time and the moment fn was called for it.
+	Late time.Duration
 }
 
 // String renders the report as a one-stop latency/throughput line pair.
 func (r LoadReport) String() string {
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	return fmt.Sprintf(
-		"%d requests (%d errors) in %v: %.0f req/s\nlatency: mean %.3fms p50 %.3fms p90 %.3fms p99 %.3fms max %.3fms",
+		"%d requests (%d errors) in %v: %.0f req/s\nlatency: mean %.3fms p50 %.3fms p90 %.3fms p99 %.3fms max %.3fms (late up to %.3fms)",
 		r.Requests, r.Errors, r.Elapsed.Round(time.Millisecond), r.ThroughputRPS,
-		ms(r.Mean), ms(r.P50), ms(r.P90), ms(r.P99), ms(r.Max))
+		ms(r.Mean), ms(r.P50), ms(r.P90), ms(r.P99), ms(r.Max), ms(r.Late))
 }
 
 // report folds a latency sample set into a LoadReport.
-func report(lats []time.Duration, errs int, elapsed time.Duration) LoadReport {
-	r := LoadReport{Requests: len(lats), Errors: errs, Elapsed: elapsed}
+func report(lats []time.Duration, errs int, late, elapsed time.Duration) LoadReport {
+	r := LoadReport{Requests: len(lats), Errors: errs, Late: late, Elapsed: elapsed}
 	if elapsed > 0 {
 		r.ThroughputRPS = float64(len(lats)) / elapsed.Seconds()
 	}
@@ -74,79 +76,63 @@ func LatencyPercentile(sorted []time.Duration, p float64) time.Duration {
 	return sorted[i]
 }
 
-// ClosedLoop drives fn from `clients` concurrent workers until `total`
-// requests have completed: each worker issues its next request the moment
-// the previous one returns, so offered load adapts to service speed. fn
-// receives the global request index.
-func ClosedLoop(clients, total int, fn func(i int) error) LoadReport {
-	if clients < 1 {
-		clients = 1
-	}
-	if clients > total {
-		clients = total
-	}
-	lats := make([]time.Duration, total)
-	errCount := 0
-	var errMu sync.Mutex
-	next := make(chan int)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < clients; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				t0 := time.Now()
-				err := fn(i)
-				lats[i] = time.Since(t0)
-				if err != nil {
-					errMu.Lock()
-					errCount++
-					errMu.Unlock()
-				}
-			}
-		}()
-	}
-	for i := 0; i < total; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return report(lats, errCount, time.Since(start))
-}
-
 // OpenLoop fires `total` requests at a fixed arrival interval regardless of
 // completions — the offered load stays constant as latency grows, which is
-// what exposes queueing delay and batching gains. Each request runs in its
-// own goroutine; fn receives the request index.
+// what exposes queueing delay and batching gains. It is OpenLoopTagged with
+// a single class.
 func OpenLoop(interval time.Duration, total int, fn func(i int) error) LoadReport {
+	return OpenLoopTagged(interval, total, func(int) string { return "" }, fn)[""]
+}
+
+// OpenLoopTagged fires `total` requests at a fixed arrival interval and
+// partitions the completions into classes: request i is due at
+// start + i·interval whatever became of earlier requests, runs fn in its own
+// goroutine, and classOf assigns it a class (a tenant name, a replica URL).
+// The result is one LoadReport per class over exactly that class's
+// requests, so a test can pin "tenant A's shed did not move tenant B's p99"
+// with one run. fn's error marks the request failed but its latency still
+// counts.
+func OpenLoopTagged(interval time.Duration, total int, classOf func(i int) string, fn func(i int) error) map[string]LoadReport {
 	if interval <= 0 {
 		interval = time.Millisecond
 	}
 	lats := make([]time.Duration, total)
-	errCount := 0
-	var errMu sync.Mutex
+	lates := make([]time.Duration, total)
+	failed := make([]bool, total)
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < total; i++ {
 		// Pace arrivals off the global clock, not per-request sleeps, so a
 		// slow fn cannot stretch the offered interval.
-		if wait := start.Add(time.Duration(i) * interval).Sub(time.Now()); wait > 0 {
+		due := start.Add(time.Duration(i) * interval)
+		if wait := time.Until(due); wait > 0 {
 			time.Sleep(wait)
 		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			t0 := time.Now()
+			lates[i] = time.Since(due)
 			err := fn(i)
-			lats[i] = time.Since(t0)
-			if err != nil {
-				errMu.Lock()
-				errCount++
-				errMu.Unlock()
-			}
+			lats[i] = time.Since(due)
+			failed[i] = err != nil
 		}(i)
 	}
 	wg.Wait()
-	return report(lats, errCount, time.Since(start))
+	elapsed := time.Since(start)
+	byClass := make(map[string][]time.Duration)
+	errsByClass := make(map[string]int)
+	lateByClass := make(map[string]time.Duration)
+	for i := 0; i < total; i++ {
+		c := classOf(i)
+		byClass[c] = append(byClass[c], lats[i])
+		if failed[i] {
+			errsByClass[c]++
+		}
+		lateByClass[c] = max(lateByClass[c], lates[i])
+	}
+	out := make(map[string]LoadReport, len(byClass))
+	for c, l := range byClass {
+		out[c] = report(l, errsByClass[c], lateByClass[c], elapsed)
+	}
+	return out
 }

@@ -3,63 +3,9 @@ package bench
 import (
 	"errors"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func TestClosedLoopCompletesEveryRequestOnce(t *testing.T) {
-	const total = 200
-	seen := make([]int32, total)
-	rep := ClosedLoop(8, total, func(i int) error {
-		atomic.AddInt32(&seen[i], 1)
-		return nil
-	})
-	if rep.Requests != total || rep.Errors != 0 {
-		t.Fatalf("report %d requests / %d errors, want %d / 0", rep.Requests, rep.Errors, total)
-	}
-	for i, n := range seen {
-		if n != 1 {
-			t.Fatalf("request %d ran %d times", i, n)
-		}
-	}
-	if rep.ThroughputRPS <= 0 || rep.Max < rep.P50 {
-		t.Fatalf("implausible report: %+v", rep)
-	}
-}
-
-func TestClosedLoopBoundsConcurrency(t *testing.T) {
-	const clients = 4
-	var cur, peak int32
-	var mu sync.Mutex
-	ClosedLoop(clients, 64, func(i int) error {
-		n := atomic.AddInt32(&cur, 1)
-		mu.Lock()
-		if n > peak {
-			peak = n
-		}
-		mu.Unlock()
-		time.Sleep(time.Millisecond)
-		atomic.AddInt32(&cur, -1)
-		return nil
-	})
-	if peak > clients {
-		t.Fatalf("observed %d concurrent requests with %d clients", peak, clients)
-	}
-}
-
-func TestClosedLoopCountsErrors(t *testing.T) {
-	rep := ClosedLoop(2, 10, func(i int) error {
-		if i%2 == 0 {
-			return errors.New("boom")
-		}
-		return nil
-	})
-	if rep.Errors != 5 {
-		t.Fatalf("reported %d errors, want 5", rep.Errors)
-	}
-}
 
 func TestOpenLoopHoldsArrivalRate(t *testing.T) {
 	const total = 20
@@ -77,6 +23,19 @@ func TestOpenLoopHoldsArrivalRate(t *testing.T) {
 	}
 	if rep.Elapsed > total*service/2 {
 		t.Fatalf("open loop took %v — arrivals were serialized behind completions", rep.Elapsed)
+	}
+}
+
+// At a 1ns interval the generator cannot keep up with its own schedule: the
+// report must show it, and since every latency runs from the request's due
+// time, no latency can be shorter than the delay in sending it.
+func TestOpenLoopReportsLateness(t *testing.T) {
+	rep := OpenLoop(time.Nanosecond, 2000, func(i int) error { return nil })
+	if rep.Requests != 2000 {
+		t.Fatalf("completed %d, want 2000", rep.Requests)
+	}
+	if rep.Late <= 0 || rep.Max < rep.Late {
+		t.Fatalf("late %v, max %v: want 0 < late <= max", rep.Late, rep.Max)
 	}
 }
 
@@ -105,11 +64,43 @@ func TestLatencyPercentileNearestRank(t *testing.T) {
 }
 
 func TestLoadReportString(t *testing.T) {
-	rep := ClosedLoop(2, 8, func(i int) error { return nil })
+	rep := OpenLoop(time.Microsecond, 8, func(i int) error { return nil })
 	s := rep.String()
-	for _, want := range []string{"8 requests", "req/s", "p99"} {
+	for _, want := range []string{"8 requests", "req/s", "p99", "late up to"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("report %q missing %q", s, want)
 		}
+	}
+}
+
+func TestOpenLoopTaggedPartitionsByClass(t *testing.T) {
+	classOf := func(i int) string {
+		if i%3 == 0 {
+			return "heavy"
+		}
+		return "light"
+	}
+	var errHeavy = errors.New("shed")
+	reports := OpenLoopTagged(100*time.Microsecond, 90, classOf, func(i int) error {
+		if classOf(i) == "heavy" {
+			return errHeavy
+		}
+		return nil
+	})
+	if len(reports) != 2 {
+		t.Fatalf("got %d classes, want 2", len(reports))
+	}
+	heavy, light := reports["heavy"], reports["light"]
+	if heavy.Requests != 30 || light.Requests != 60 {
+		t.Fatalf("partition sizes heavy=%d light=%d, want 30/60", heavy.Requests, light.Requests)
+	}
+	if heavy.Errors != 30 {
+		t.Fatalf("heavy class errors = %d, want all 30", heavy.Errors)
+	}
+	if light.Errors != 0 {
+		t.Fatalf("light class errors = %d, want 0", light.Errors)
+	}
+	if light.P99 <= 0 || light.Max < light.P99 {
+		t.Fatalf("light percentiles inconsistent: p99=%v max=%v", light.P99, light.Max)
 	}
 }
