@@ -45,13 +45,10 @@ race:
 		./internal/obs/... ./internal/fleet/... ./internal/chaos/... \
 		./internal/accel/...
 
-# Robustness gate: fuzz both artifact loaders with short budgets. The seed
-# corpora (valid artifacts in each format plus truncations/corruptions) are
-# built in-test; the contract is "never panic, return a model xor an error".
-# The patterns are anchored: FuzzLoad would otherwise match FuzzLoadFlat too
-# and go refuses to fuzz two targets at once.
+# Robustness gate: fuzz the RAPIDNN2 artifact reader with a short budget.
+# The seed corpus (a valid artifact plus truncations/corruptions) is built
+# in-test; the contract is "never panic, return a model xor an error".
 fuzz:
-	go test -run '^FuzzLoad$$' -fuzz '^FuzzLoad$$' -fuzztime 20s ./internal/composer/
 	go test -run '^FuzzLoadFlat$$' -fuzz '^FuzzLoadFlat$$' -fuzztime 15s ./internal/composer/
 
 # Scaling check: batched hardware inference at several worker counts.
@@ -66,10 +63,11 @@ bench-serve:
 
 # Hot-path microbenchmarks with allocation counts: the neuron fire, the
 # in-memory adder, the NDCAM search, batched hardware inference, the serve
-# round-trip, and artifact cold start (gob decode vs RAPIDNN2 mmap). BENCH_PR9.json pins the expected numbers; bench-compare
-# re-runs this set and fails on regression. (BENCH_PR4.json stays committed
-# as the pre-bit-slicing trajectory point.) Regenerate the baseline with
-# bench-hot piped through rapidnn-benchstat -before/-after.
+# round-trip, and artifact cold start (RAPIDNN2 mmap). BENCH_PR9.json pins
+# the expected numbers; bench-compare re-runs this set and fails on
+# regression. (BENCH_PR4.json stays committed as the pre-bit-slicing
+# trajectory point.) Regenerate the baseline with bench-hot piped through
+# rapidnn-benchstat -before/-after.
 HOT_BENCHES = BenchmarkNeuronFire|BenchmarkAddScratch1024|BenchmarkSearchAllocs|BenchmarkHardwareInferBatch|BenchmarkServeRoundTrip|BenchmarkColdStart
 HOT_PKGS = ./internal/rna/ ./internal/crossbar/ ./internal/ndcam/ ./internal/serve/ ./internal/composer/
 
@@ -93,7 +91,7 @@ bench-gate:
 		-benchmem -benchtime 0.3s -count 3 ./internal/rna/ ./internal/ndcam/ \
 		| /tmp/rapidnn-benchstat -check BENCH_PR9.json -tolerance 1.1
 
-# Artifact cold-start latency alone: gob decode vs RAPIDNN2 mmap on the same
+# Artifact cold-start latency alone: LoadFile's RAPIDNN2 mmap of a
 # serving-scale model. Part of bench-compare via HOT_BENCHES; this target is
 # the quick standalone view.
 bench-cold:
