@@ -168,6 +168,13 @@ sim-compile-smoke:
 	done; \
 	echo "sim-compile-smoke: MNIST+ISOLET compiled and validated under both objectives"
 
+# Non-test Go lines per package directory, the nested perfbench module
+# included: the size figures each change reports in CHANGES.md.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); if (d == "") d = "."; n[d] += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d }' | sort -k2
+
 check: test vet race
 
-.PHONY: test lint vet perfbench-check race fuzz bench-parallel bench-serve bench-hot bench-cold bench-compare bench-gate serve-smoke fleet-smoke chaos-smoke sim-compile-smoke check
+.PHONY: test lint vet perfbench-check race fuzz bench-parallel bench-serve bench-hot bench-cold bench-compare bench-gate serve-smoke fleet-smoke chaos-smoke sim-compile-smoke loc check

@@ -236,10 +236,3 @@ func Simulate(name string, plans []*composer.LayerPlan, macs int64, cfg Config) 
 func (r *Report) EDP() float64 {
 	return r.EnergyPerInputJ * r.LatencySeconds
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

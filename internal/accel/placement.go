@@ -110,7 +110,7 @@ func PlaceStages(stages []StageSpec, cfg Config) (*Placement, error) {
 	// tile the producing blocks also occupy are local buffer writes.
 	for i := 0; i+1 < len(stages); i++ {
 		producer, consumer := p.Layers[i], p.Layers[i+1]
-		bitsPer := int64(bitsFor(maxInt(stages[i].Plan.U(), 2)))
+		bitsPer := int64(bitsFor(max(stages[i].Plan.U(), 2)))
 		total := int64(stages[i].Plan.Neurons) * bitsPer
 		srcStart := producer.groupStarts[len(producer.groupStarts)-1]
 		srcEnd := srcStart + producer.Blocks
@@ -158,13 +158,6 @@ func bitsFor(n int) int {
 	}
 	if b == 0 {
 		b = 1
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
 	}
 	return b
 }

@@ -55,16 +55,9 @@ func specPlans(specs []planSpec, w, u, actRows int) ([]*composer.LayerPlan, int6
 func evenCB(n int) []float32 {
 	cb := make([]float32, n)
 	for i := range cb {
-		cb[i] = 2*float32(i)/float32(maxInt(n-1, 1)) - 1
+		cb[i] = 2*float32(i)/float32(max(n-1, 1)) - 1
 	}
 	return cb
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // sigmoidAct satisfies quant's activation needs for spec-built tables.

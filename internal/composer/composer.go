@@ -248,10 +248,3 @@ type nnSnapshot struct {
 	plans []*LayerPlan
 	err   float64
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

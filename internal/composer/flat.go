@@ -57,11 +57,10 @@ const (
 	secI64  uint32 = 3 // raw []int64
 )
 
-// FlatProductFracBits is the fixed-point fraction of the pre-composed
-// product tables embedded in RAPIDNN2 artifacts. It must equal the hardware
-// path's fixed-point format (rna's hwFracBits) for the lowering to borrow
-// the tables; rna cross-checks at build time and falls back to recomputing
-// on mismatch.
+// FlatProductFracBits is the fixed-point fraction of every crossbar product
+// table: the tables LayerPlan.ProductTable composes, the ones RAPIDNN2
+// artifacts embed, and the hardware path's sums and biases. The loader
+// rejects an artifact that records any other fraction.
 const FlatProductFracBits uint = 16
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -182,9 +181,7 @@ func bytesI64(b []byte) []int64 {
 }
 
 // productTable pre-computes the crossbar product table for one codebook pair
-// at compose time — entry (w,u) at [w·len(ucb)+u]. quant.ToFixed keeps it
-// bit-identical to the table rna.NewFuncRNAShared derives at lowering time
-// when it is handed no table to borrow.
+// at compose time — entry (w,u) at [w·len(ucb)+u].
 func productTable(wcb, ucb []float32, frac uint) []int64 {
 	t := make([]int64, len(wcb)*len(ucb))
 	for wi, wv := range wcb {
@@ -194,32 +191,6 @@ func productTable(wcb, ucb []float32, frac uint) []int64 {
 		}
 	}
 	return t
-}
-
-// planProductTables returns the plan's product tables for embedding: the
-// already-loaded tables when they match the current codebooks (re-saving a
-// loaded artifact), freshly computed ones otherwise.
-func planProductTables(p *LayerPlan) [][]int64 {
-	if !p.IsCompute() {
-		return nil
-	}
-	if p.ProductFracBits == FlatProductFracBits && len(p.Products) == len(p.WeightCodebooks) {
-		ok := true
-		for g, tab := range p.Products {
-			if len(tab) != len(p.WeightCodebooks[g])*len(p.InputCodebook) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return p.Products
-		}
-	}
-	out := make([][]int64, len(p.WeightCodebooks))
-	for g, wcb := range p.WeightCodebooks {
-		out[g] = productTable(wcb, p.InputCodebook, FlatProductFracBits)
-	}
-	return out
 }
 
 // SaveFlat writes the composed model as a RAPIDNN2 flat artifact, including
@@ -260,8 +231,10 @@ func (c *Composed) SaveFlat(w io.Writer) error {
 			fp.ActY = fb.addF32(p.ActTable.Y)
 			fp.ActZ = fb.addF32(p.ActTable.Z)
 		}
-		for _, tab := range planProductTables(p) {
-			fp.Products = append(fp.Products, fb.addI64(tab))
+		if p.IsCompute() {
+			for g := range p.WeightCodebooks {
+				fp.Products = append(fp.Products, fb.addI64(p.ProductTable(g)))
+			}
 		}
 		meta.Plans = append(meta.Plans, fp)
 	}
@@ -447,6 +420,9 @@ func loadFlatData(data []byte, release func() error) (c *Composed, err error) {
 	if err := gob.NewDecoder(bytes.NewReader(secs[0].data)).Decode(&meta); err != nil {
 		return nil, fmt.Errorf("composer: decoding flat metadata: %w", err)
 	}
+	if meta.ProductFracBits != uint32(FlatProductFracBits) {
+		return nil, fmt.Errorf("composer: product tables have %d fraction bits, want %d", meta.ProductFracBits, FlatProductFracBits)
+	}
 	fr := &flatReader{secs: secs}
 	net := nn.NewNetwork(meta.NetName)
 	for i, fl := range meta.Layers {
@@ -481,7 +457,6 @@ func loadFlatData(data []byte, release func() error) (c *Composed, err error) {
 		p := &LayerPlan{
 			Kind: LayerKind(fp.Kind), Index: fp.Index, Name: fp.Name,
 			Neurons: fp.Neurons, Edges: fp.Edges, RawInputs: fp.RawInputs,
-			ProductFracBits: uint(meta.ProductFracBits),
 		}
 		var err error
 		if p.InputCodebook, err = fr.f32(fp.InputCodebook, "input codebook"); err != nil {

@@ -68,9 +68,6 @@ func TestFlatRoundTripAllLayerKinds(t *testing.T) {
 		if !p.IsCompute() {
 			continue
 		}
-		if p.ProductFracBits != FlatProductFracBits {
-			t.Fatalf("plan %d: ProductFracBits %d, want %d", i, p.ProductFracBits, FlatProductFracBits)
-		}
 		if len(p.Products) != len(p.WeightCodebooks) {
 			t.Fatalf("plan %d: %d product tables for %d groups", i, len(p.Products), len(p.WeightCodebooks))
 		}

@@ -71,14 +71,12 @@ type LayerPlan struct {
 
 	// Products holds the pre-composed fixed-point product tables of a
 	// RAPIDNN2 artifact, one stride-indexed [len(wcb)·len(ucb)] table per
-	// weight-codebook group, at ProductFracBits fractional bits. Populated
-	// only by the flat loader, where each table is a read-only view into the
-	// mapped file — rna.BuildHardwareNetwork hands it to each block's
-	// constructor (rna.NewFuncRNAShared) to borrow instead of recomputing;
-	// everything else leaves it nil. Borrowed tables are owned by the
-	// artifact mapping: they stay valid until the loading Composed's Close.
-	Products        [][]int64
-	ProductFracBits uint
+	// weight-codebook group, at FlatProductFracBits fractional bits. Only the
+	// flat loader populates it, with read-only views into the mapped file
+	// that stay valid until the loading Composed's Close; ReconfigurePlans
+	// drops it with the codebooks it was composed from. Read tables through
+	// ProductTable, which composes them when Products is nil.
+	Products [][]int64
 
 	// RawInputs is the network's raw feature count, set on the first compute
 	// layer's plan; the accelerator charges the data-block read and virtual
@@ -102,6 +100,18 @@ func (p *LayerPlan) W() int {
 
 // U returns the input-codebook cardinality.
 func (p *LayerPlan) U() int { return len(p.InputCodebook) }
+
+// ProductTable returns the crossbar product table of weight-codebook group g
+// (§3.3), the one configuration every consumer shares: SaveFlat embeds it and
+// rna.BuildHardwareNetwork configures its blocks with it. A loaded plan hands
+// out its artifact's table, which the loader has checked against the
+// codebooks; any other plan composes it here.
+func (p *LayerPlan) ProductTable(g int) []int64 {
+	if p.Products != nil {
+		return p.Products[g]
+	}
+	return productTable(p.WeightCodebooks[g], p.InputCodebook, FlatProductFracBits)
+}
 
 // IsCompute reports whether the layer performs weighted accumulation.
 func (p *LayerPlan) IsCompute() bool {
@@ -351,13 +361,6 @@ func sampleKeep(n int) float64 {
 	return float64(budget) / float64(n)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // QuantizeWeightsInPlace snaps every compute layer's weights to its codebook
 // values — the "replace all parameters with their closest centroids" step of
 // Fig. 6b, applied before each retraining round.
@@ -422,7 +425,8 @@ func buildCodebookTree(samples []float32, k int, cfg Config, seed int64) ([]floa
 // selecting shallower (or equal) levels of the stored trees — the §3.3
 // "adjustable parameter [that] selects the level of the codebook tree"
 // without re-running k-means. It returns fresh plans; the inputs are not
-// modified. Plans composed without UseTreeCodebooks are rejected.
+// modified. Plans composed without UseTreeCodebooks are rejected. Carried
+// product tables belong to the old codebooks and are dropped.
 func ReconfigurePlans(plans []*LayerPlan, maxW, maxU int) ([]*LayerPlan, error) {
 	if maxW < 1 || maxU < 1 {
 		return nil, fmt.Errorf("composer: reconfigure budgets w=%d u=%d", maxW, maxU)
@@ -430,6 +434,7 @@ func ReconfigurePlans(plans []*LayerPlan, maxW, maxU int) ([]*LayerPlan, error) 
 	out := make([]*LayerPlan, len(plans))
 	for i, p := range plans {
 		np := *p
+		np.Products = nil
 		if p.IsCompute() {
 			if len(p.WeightTrees) == 0 || p.InputTree == nil {
 				return nil, fmt.Errorf("composer: plan %s has no codebook trees (compose with UseTreeCodebooks)", p.Name)

@@ -186,8 +186,8 @@ func TestLoadRejectsMismatchedWeightLength(t *testing.T) {
 	loadMustFail(t, "weight slice vs layer geometry", raw, "layer 0 (fc): weight tensor has 5 values")
 }
 
-// TestLoadRejectsInconsistentPlans edits plan and canary fields in an
-// artifact's metadata after it was written. Metadata that decodes cleanly
+// TestLoadRejectsInconsistentPlans edits plan, product-table and canary
+// fields in an artifact's metadata after it was written. Metadata that decodes cleanly
 // but describes an inconsistent plan previously escaped the loader and
 // detonated later on a serving goroutine (ActTable.Eval indexing a short Z
 // column, downstream code trusting negative geometry or a mislabeled kind).
@@ -210,6 +210,9 @@ func TestLoadRejectsInconsistentPlans(t *testing.T) {
 		{"channel to missing codebook", "codebook", func(m *flatMeta) { m.Plans[0].ChannelCodebook = []int32{9} }},
 		{"empty input codebook", "input codebook", func(m *flatMeta) { m.Plans[0].InputCodebook = flatRef{} }},
 		{"canary class out of range", "canary 0 predicts class 99", func(m *flatMeta) { m.CanaryPreds[0] = 99 }},
+		// Tables in any other fixed-point format would configure crossbars
+		// that disagree with the executor's sums and biases.
+		{"product fraction bits", "product tables have 8 fraction bits, want 16", func(m *flatMeta) { m.ProductFracBits = 8 }},
 	}
 	for _, tc := range cases {
 		loadMustFail(t, tc.name, relayFlat(t, raw, tc.mutate), tc.errHas)

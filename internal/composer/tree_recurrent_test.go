@@ -2,6 +2,7 @@ package composer
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -102,6 +103,15 @@ func TestReconfigurePlansLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Carry product tables, as a loaded artifact's plans do; they belong to
+	// the old codebooks and must not survive the downshift.
+	for _, p := range c.Plans {
+		tabs := make([][]int64, len(p.WeightCodebooks))
+		for g := range tabs {
+			tabs[g] = p.ProductTable(g)
+		}
+		p.Products = tabs
+	}
 	// Downshift to w≤8, u≤16 without re-clustering.
 	plans, err := ReconfigurePlans(c.Plans, 8, 16)
 	if err != nil {
@@ -113,6 +123,12 @@ func TestReconfigurePlansLevels(t *testing.T) {
 		}
 		if p.W() > 8 || p.U() > 16 {
 			t.Fatalf("reconfigured plan exceeds budget: w=%d u=%d", p.W(), p.U())
+		}
+		for g, wcb := range p.WeightCodebooks {
+			if got, want := p.ProductTable(g), productTable(wcb, p.InputCodebook, FlatProductFracBits); !slices.Equal(got, want) {
+				t.Fatalf("plan %s group %d: ProductTable is not the table of its new codebooks (%d vs %d entries)",
+					p.Name, g, len(got), len(want))
+			}
 		}
 	}
 	// Originals untouched.

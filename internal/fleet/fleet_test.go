@@ -135,6 +135,37 @@ func TestPoolScrapesQueueDepth(t *testing.T) {
 	}
 }
 
+// A replica whose /healthz fails — garbage or a hang past the probe
+// client's timeout — must not be scraped: the depth would be thrown away,
+// and for a hung replica the scrape would cost PollOnce a second timeout
+// before it reached the next replica.
+func TestPoolSkipsMetricsScrapeWhenHealthzFails(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		healthz http.HandlerFunc
+	}{
+		{"garbage", func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "not json") }},
+		{"hang", func(w http.ResponseWriter, r *http.Request) { <-r.Context().Done() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var scrapes atomic.Int64
+			mux := http.NewServeMux()
+			mux.HandleFunc("/healthz", tc.healthz)
+			mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) { scrapes.Add(1) })
+			ts := httptest.NewServer(mux)
+			t.Cleanup(ts.Close)
+			p := NewPool(PoolConfig{Client: &http.Client{Timeout: 50 * time.Millisecond}})
+			if info := p.Add(ts.URL); info.State != StateDown {
+				t.Fatalf("state after a failed probe = %s, want down", info.State)
+			}
+			p.PollOnce()
+			if n := scrapes.Load(); n != 0 {
+				t.Fatalf("/metrics scraped %d times after failed /healthz probes, want 0", n)
+			}
+		})
+	}
+}
+
 func TestSumMetricNameBoundary(t *testing.T) {
 	exp := "# HELP x\nfoo{a=\"b\"} 3\nfoo 4\nfoo_total 100\nfoobar 200\nfoo{c=\"d\"} 5\n"
 	got, ok := sumMetric(exp, "foo")

@@ -212,13 +212,16 @@ type healthzBody struct {
 	Versions map[string]serve.VersionInfo `json:"versions"`
 }
 
-// pollReplica probes one backend — /healthz for liveness and versions,
-// /metrics for queue depth — and folds the result into its state and the
-// ring. The HTTP calls run outside the pool lock.
+// pollReplica probes one backend — /healthz for liveness and versions, then,
+// only if that answered, /metrics for queue depth — and folds the result
+// into its state and the ring. The HTTP calls run outside the pool lock.
 func (p *Pool) pollReplica(e *replicaEntry) {
 	var hb healthzBody
 	status, err := p.getJSON(e.url+"/healthz", &hb)
-	depth, depthOK := p.scrapeQueueDepth(e.url)
+	depth, depthOK := 0.0, false
+	if err == nil {
+		depth, depthOK = p.scrapeQueueDepth(e.url)
+	}
 
 	p.mu.Lock()
 	defer p.mu.Unlock()

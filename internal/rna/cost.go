@@ -265,10 +265,3 @@ func bitsFor(n int) int {
 	}
 	return b
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"repro/internal/composer"
 	"repro/internal/fault"
 	"repro/internal/ndcam"
 )
@@ -60,7 +61,7 @@ type faultState struct {
 // the device's significant product bits plus the half of the fraction bits
 // that carries real precision (matching the historical injection scope).
 func (r *FuncRNA) faultBits() int {
-	return r.dev.ProductBits + int(r.fracBits)/2
+	return r.dev.ProductBits + int(composer.FlatProductFracBits)/2
 }
 
 // injectFaults draws a fresh fault map for this block from rng, replacing any

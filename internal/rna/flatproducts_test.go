@@ -11,21 +11,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// The flat writer bakes product tables in composer.FlatProductFracBits; the
-// hardware path computes in hwFracBits. planProducts only borrows when the
-// two agree, so a drift between the constants would silently disable the
-// zero-copy path everywhere. Pin them together.
-func TestFlatProductFracBitsMatchesHardware(t *testing.T) {
-	if composer.FlatProductFracBits != hwFracBits {
-		t.Fatalf("composer.FlatProductFracBits = %d, rna hwFracBits = %d — flat product tables can never be borrowed",
-			composer.FlatProductFracBits, hwFracBits)
-	}
-}
-
 // A hardware network lowered from an mmap'd RAPIDNN2 artifact borrows its
 // product tables straight out of the mapping; the answers must be
 // bit-identical to a lowering of the original in-memory model, whose tables
-// are recomputed locally.
+// LayerPlan.ProductTable composes on demand.
 func TestHardwareBorrowsFlatProductTablesBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	net := nn.NewNetwork("flat-hw").
@@ -54,16 +43,6 @@ func TestHardwareBorrowsFlatProductTablesBitIdentical(t *testing.T) {
 		t.Fatal("LoadFile did not map the artifact")
 	}
 
-	// The loaded plans must actually offer borrowable tables — otherwise this
-	// test would pass by silently falling back to recomputation.
-	for i, p := range loaded.Plans {
-		for g := range p.WeightCodebooks {
-			if planProducts(p, g) == nil {
-				t.Fatalf("plan %d group %d: flat-loaded product table not borrowable", i, g)
-			}
-		}
-	}
-
 	ref, err := BuildHardwareNetwork(composer.NewReinterpreted(c.Net, c.Plans).Net(), c.Plans, dev())
 	if err != nil {
 		t.Fatal(err)
@@ -71,6 +50,15 @@ func TestHardwareBorrowsFlatProductTablesBitIdentical(t *testing.T) {
 	hw, err := BuildHardwareNetwork(composer.NewReinterpreted(loaded.Net, loaded.Plans).Net(), loaded.Plans, dev())
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Every block must configure its crossbar from the mapping itself —
+	// otherwise this test would compare two composed copies of the tables.
+	for _, hl := range hw.layers {
+		for g, r := range hl.rnas {
+			if tab := hl.plan.Products; len(tab) <= g || &r.products[0] != &tab[g][0] {
+				t.Fatalf("layer %s group %d: block does not borrow the artifact's product table", hl.traceName, g)
+			}
+		}
 	}
 
 	const n = 24

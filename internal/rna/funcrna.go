@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/composer"
 	"repro/internal/counting"
 	"repro/internal/crossbar"
 	"repro/internal/device"
@@ -26,7 +27,6 @@ type FuncRNA struct {
 	// cache lines and spares the per-row pointer chase of a [][]int64.
 	products []int64
 	nW, nU   int
-	fracBits uint
 
 	actTable *quant.ActTable
 	actCAM   *ndcam.NDCAM
@@ -54,43 +54,29 @@ const sumWidth = 32
 // nextCodebook is the consuming layer's input codebook the output is encoded
 // with. Each neuron's bias travels with its evaluation, not with the block.
 //
-// When products is non-nil it must be the stride-indexed [len(wcb)·len(ucb)]
-// table at fracBits fractional bits (what composer.SaveFlat embeds in
-// RAPIDNN2 artifacts), and the block BORROWS it — typically a read-only view
-// into an mmap'd artifact, shared by every block configured from the same
-// codebook group. The caller owns the backing memory and must keep it mapped
-// for the block's lifetime (composer.Composed.Close is the usual release
-// point). A nil products recomputes the table locally, bit-identically.
+// products is the group's crossbar product table, composer.LayerPlan's
+// ProductTable: stride-indexed [len(wcb)·len(ucb)] at
+// composer.FlatProductFracBits fractional bits. The block BORROWS it — for a
+// loaded artifact a read-only view into the mapped file, shared by every
+// block configured from the same codebook group. The caller owns the backing
+// memory and must keep it mapped for the block's lifetime
+// (composer.Composed.Close is the usual release point).
 func NewFuncRNAShared(dev device.Params, wcb, ucb []float32,
-	actTable *quant.ActTable, relu bool, nextCodebook []float32, fracBits uint, products []int64) *FuncRNA {
+	actTable *quant.ActTable, relu bool, nextCodebook []float32, products []int64) *FuncRNA {
 	if len(wcb) == 0 || len(ucb) == 0 || len(nextCodebook) == 0 {
 		panic("rna: empty codebook")
 	}
 	if actTable == nil && !relu {
 		panic("rna: need an activation table or the ReLU comparator")
 	}
-	r := &FuncRNA{dev: dev, fracBits: fracBits, actTable: actTable, relu: relu}
-	r.nW, r.nU = len(wcb), len(ucb)
-	r.actKey, r.encKey = nextCAMKeys()
-	if products != nil {
-		if len(products) != r.nW*r.nU {
-			panic(fmt.Sprintf("rna: borrowed product table holds %d entries, codebooks want %d×%d",
-				len(products), r.nW, r.nU))
-		}
-		// The pristine path only ever reads the table (fault injection is an
-		// overlay, faults.go), so a read-only mapping is safe to borrow.
-		r.products = products
-	} else {
-		// Pre-compute the crossbar product table (what the composer writes at
-		// configuration time, §3.3).
-		r.products = make([]int64, r.nW*r.nU)
-		for wi, wv := range wcb {
-			row := r.products[wi*r.nU : (wi+1)*r.nU]
-			for ui, uv := range ucb {
-				row[ui] = toFixed(float64(wv)*float64(uv), fracBits)
-			}
-		}
+	if len(products) != len(wcb)*len(ucb) {
+		panic(fmt.Sprintf("rna: product table holds %d entries, codebooks want %d×%d",
+			len(products), len(wcb), len(ucb)))
 	}
+	// The pristine path only ever reads the table (fault injection is an
+	// overlay, faults.go), so a read-only mapping is safe to borrow.
+	r := &FuncRNA{dev: dev, products: products, nW: len(wcb), nU: len(ucb), actTable: actTable, relu: relu}
+	r.actKey, r.encKey = nextCAMKeys()
 	if actTable != nil {
 		lo, hi := float64(actTable.Y[0]), float64(actTable.Y[len(actTable.Y)-1])
 		r.actFP = ndcam.NewFixedPoint(lo, hi, 16)
@@ -116,7 +102,7 @@ func NewFuncRNAShared(dev device.Params, wcb, ucb []float32,
 // in-memory addition (§4.1.2) — returning the real-valued pre-activation and
 // the crossbar activity of this evaluation. weightIdx[i] and inputIdx[i] are
 // the codebook indices of edge i; bias is the neuron's fixed-point bias
-// (toFixed with the block's fraction bits). The counting histogram, the
+// (toFixed at composer.FlatProductFracBits). The counting histogram, the
 // shift-add terms, the adder operands and the adder's rows all live in s, so
 // steady state allocates nothing. The block itself is read-only here: any
 // number of goroutines may evaluate it, each with its own Scratch. The sum
@@ -161,7 +147,7 @@ func (r *FuncRNA) AccumulateBiasScratch(weightIdx, inputIdx []int, bias int64, s
 	// 3. NOR-decomposed in-memory addition (§4.1.2).
 	raw, stats := s.add.AddMany(r.dev, addends, sumWidth)
 	sum := int64(int32(uint32(raw)))
-	return fromFixed(sum, r.fracBits), stats
+	return fromFixed(sum, composer.FlatProductFracBits), stats
 }
 
 // activate applies the activation stage: an NDCAM table search, or the ReLU
@@ -183,8 +169,8 @@ func (r *FuncRNA) encodeValue(z float64, s *Scratch) int {
 	return r.searchEncCAM(r.encFP.Encode(z), s)
 }
 
-// toFixed / fromFixed delegate to the shared quant conversions so the
-// locally composed tables stay bit-identical to artifact-embedded ones.
+// toFixed / fromFixed delegate to the shared quant conversions, the ones
+// the composer's product tables are built with.
 func toFixed(v float64, frac uint) int64 { return quant.ToFixed(v, frac) }
 
 func fromFixed(v int64, frac uint) float64 { return quant.FromFixed(v, frac) }

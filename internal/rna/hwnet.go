@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/composer"
@@ -36,7 +37,8 @@ type HardwareNetwork struct {
 	layers []*hwLayer
 	inSize int
 	// Workers bounds the concurrency of InferBatchStats/ErrorRate; 0 (the
-	// default) means GOMAXPROCS. Set to 1 to force the serial path.
+	// default) means GOMAXPROCS. At 1 the calling goroutine classifies the
+	// whole batch.
 	Workers int
 	// Trace, when set, records one span per batch and one per layer per
 	// input on the "rna" track. Set it before inference begins; tracing a
@@ -54,6 +56,8 @@ type HardwareNetwork struct {
 type hwLayer struct {
 	kind composer.LayerKind
 	plan *composer.LayerPlan
+	// skip marks a shape-preserving residual layer: neuron n adds input
+	// position n back before encoding.
 	skip bool
 	// traceName is the span name of this layer, fixed at build time so the
 	// traced path formats nothing per input.
@@ -70,13 +74,10 @@ type hwLayer struct {
 	weightIdx [][]int
 	edgeOf    [][]int
 	groupOf   []int // codebook group per neuron
-	bias      []float32
-	// biasFixed is bias pre-converted to the RNAs' fixed-point domain, so
-	// the re-entrant evaluation passes it straight to AccumulateBiasScratch.
+	// biasFixed is each neuron's bias in the product tables' fixed-point
+	// format, passed straight to AccumulateBiasScratch.
 	biasFixed []int64
-	// skipPos[n] is the input position a residual neuron adds back.
-	skipPos []int
-	isLogit bool
+	isLogit   bool
 
 	// Pooling layers.
 	poolWindows [][]int // input positions per output
@@ -94,59 +95,47 @@ type hwLayer struct {
 // functional hardware. qnet must be the reinterpreted clone (weights already
 // snapped to the codebooks); plans must come from the same composition.
 //
-// Plans loaded from a RAPIDNN2 artifact carry pre-composed product tables
-// (LayerPlan.Products); when their fixed-point format matches the hardware
-// path, every RNA block borrows its table instead of recomputing it, so the
-// crossbar configuration stays a view into the mapped file. The built
-// network then shares the plans' lifetime: it must not be used after the
-// owning composer.Composed is Closed.
+// Every RNA block is configured with its plan's ProductTable. Plans loaded
+// from a RAPIDNN2 artifact hand out views into the mapped file, so the
+// crossbar configuration is borrowed, not recomputed, and the built network
+// shares the plans' lifetime: it must not be used after the owning
+// composer.Composed is Closed.
+//
+// Lowering checks everything inference relies on — each layer is fed exactly
+// the features its geometry indexes, and the network ends in a dense or conv
+// logit layer — so classifying a row of InSize features cannot fail.
 func BuildHardwareNetwork(qnet *nn.Network, plans []*composer.LayerPlan, dev device.Params) (*HardwareNetwork, error) {
 	if len(qnet.Layers) != len(plans) {
 		return nil, fmt.Errorf("rna: %d layers vs %d plans", len(qnet.Layers), len(plans))
 	}
 	h := &HardwareNetwork{dev: dev, inSize: qnet.InSize()}
+	width := h.inSize // features the hardware feeds the next layer
 	for i, l := range qnet.Layers {
-		p := plans[i]
+		p, next := plans[i], nextCodebook(plans, i)
+		var hl *hwLayer
 		switch t := l.(type) {
 		case *nn.Dense:
-			hl, err := buildDenseHW(t, p, nextCodebook(plans, i), dev)
-			if err != nil {
-				return nil, err
-			}
-			hl.traceName = t.Name()
-			h.layers = append(h.layers, hl)
+			hl = buildDenseHW(t, p, next, dev)
 		case *nn.Conv2D:
-			hl, err := buildConvHW(t, p, nextCodebook(plans, i), dev)
-			if err != nil {
-				return nil, err
-			}
-			hl.traceName = t.Name()
-			h.layers = append(h.layers, hl)
+			hl = buildConvHW(t, p, next, dev)
 		case *nn.Recurrent:
-			// The frame slicing of the recurrent executor requires the layer's
-			// input to split into exactly Steps frames of In features; a feed
-			// of any other length would slice out of bounds at inference time.
-			if i > 0 {
-				if prev := qnet.Layers[i-1].OutSize(); prev != t.In*t.Steps {
-					return nil, fmt.Errorf("rna: recurrent layer %s wants %d×%d = %d input features, previous layer %s provides %d",
-						t.Name(), t.Steps, t.In, t.In*t.Steps, qnet.Layers[i-1].Name(), prev)
-				}
-			}
-			hl, err := buildRecurrentHW(t, p, nextCodebook(plans, i), dev)
-			if err != nil {
-				return nil, err
-			}
-			hl.traceName = t.Name()
-			h.layers = append(h.layers, hl)
+			hl = buildRecurrentHW(t, p, next, dev)
 		case *nn.Pool2D:
-			hl := buildPoolHW(t, p, nextCodebook(plans, i))
-			hl.traceName = t.Name()
-			h.layers = append(h.layers, hl)
+			hl = buildPoolHW(t, p, next)
 		case *nn.Dropout:
-			// Identity at inference; no hardware.
+			continue // identity at inference; no hardware
 		default:
 			return nil, fmt.Errorf("rna: hardware path cannot lower %T", l)
 		}
+		// The executor slices and gathers a layer's input by the layer's own
+		// geometry (a recurrent layer cuts Steps frames of In features), so a
+		// feed of any other width would index out of bounds.
+		if l.InSize() != width {
+			return nil, fmt.Errorf("rna: layer %s wants %d input features, its feed provides %d", l.Name(), l.InSize(), width)
+		}
+		width = l.OutSize()
+		hl.traceName = l.Name()
+		h.layers = append(h.layers, hl)
 	}
 	if len(h.layers) == 0 {
 		return nil, fmt.Errorf("rna: empty network")
@@ -155,54 +144,31 @@ func BuildHardwareNetwork(qnet *nn.Network, plans []*composer.LayerPlan, dev dev
 	if !last.plan.IsCompute() {
 		return nil, fmt.Errorf("rna: final layer must be a compute layer")
 	}
+	if last.kind == composer.KindRecurrent {
+		// The class comparator takes one raw sum per class; a recurrent
+		// layer only ever emits encoded hidden states.
+		return nil, fmt.Errorf("rna: final layer %s is recurrent; the class comparator needs a dense or conv logit layer", last.traceName)
+	}
 	last.isLogit = true
-	if first := h.layers[0]; first.kind == composer.KindRecurrent {
-		// The frame slicing of the recurrent executor requires the input to
-		// split into exactly rnnSteps frames of rnnIn features.
-		if want := first.rnnIn * first.rnnSteps; h.inSize != want {
-			return nil, fmt.Errorf("rna: recurrent layer wants %d×%d = %d input features, network provides %d",
-				first.rnnSteps, first.rnnIn, want, h.inSize)
-		}
-	}
-	for _, hl := range h.layers {
-		hl.biasFixed = make([]int64, len(hl.bias))
-		for i, b := range hl.bias {
-			hl.biasFixed[i] = toFixed(float64(b), hwFracBits)
-		}
-	}
 	return h, nil
 }
 
 // nextCodebook finds the input codebook of the consuming compute layer —
 // the encoder table of layer i's RNAs. The final layer has no consumer; its
-// raw logit sums feed the class comparator instead.
+// raw logit sums feed the class comparator instead, so its blocks get a
+// one-entry placeholder encoder they never search.
 func nextCodebook(plans []*composer.LayerPlan, i int) []float32 {
 	for j := i + 1; j < len(plans); j++ {
 		if plans[j].IsCompute() {
 			return plans[j].InputCodebook
 		}
 	}
-	return nil
+	return []float32{0}
 }
 
-const hwFracBits = 16
-
-// planProducts returns the plan's pre-composed product table for codebook
-// group g when it is usable by the hardware path — present, in the hardware
-// fixed-point format, and at the geometry the current codebooks imply — and
-// nil otherwise (NewFuncRNAShared then recomputes, bit-identically). The
-// geometry check matters after ReconfigurePlans: re-clustering replaces the
-// codebooks but a plan struct-copy can carry the stale table along.
-func planProducts(p *composer.LayerPlan, g int) []int64 {
-	if p.ProductFracBits != hwFracBits || g >= len(p.Products) {
-		return nil
-	}
-	tab := p.Products[g]
-	if len(tab) != len(p.WeightCodebooks[g])*len(p.InputCodebook) {
-		return nil
-	}
-	return tab
-}
+// fixedBias converts a neuron's bias to the product tables' fixed-point
+// format, the form AccumulateBiasScratch adds it in.
+func fixedBias(b float32) int64 { return toFixed(float64(b), composer.FlatProductFracBits) }
 
 // flattenRows carves n rows of uniform width w out of one flat backing
 // array: the SoA layout of the per-neuron edge tables. Full-capacity slicing
@@ -216,47 +182,35 @@ func flattenRows(n, w int) [][]int {
 	return rows
 }
 
-func buildDenseHW(t *nn.Dense, p *composer.LayerPlan, next []float32, dev device.Params) (*hwLayer, error) {
+func buildDenseHW(t *nn.Dense, p *composer.LayerPlan, next []float32, dev device.Params) *hwLayer {
 	wcb := p.WeightCodebooks[0]
 	relu := p.ActTable == nil
-	if next == nil {
-		next = []float32{0} // logits bypass encoding
-	}
-	rna := NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, relu, next, hwFracBits, planProducts(p, 0))
+	rna := NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, relu, next, p.ProductTable(0))
 	hl := &hwLayer{kind: p.Kind, plan: p, skip: t.Skip, rnas: []*FuncRNA{rna}}
 	in, out := t.InSize(), t.OutSize()
 	hl.weightIdx = flattenRows(out, in)
 	hl.edgeOf = flattenRows(out, in)
 	hl.groupOf = make([]int, out)
-	hl.bias = make([]float32, out)
-	if t.Skip {
-		hl.skipPos = make([]int, out)
-	}
+	hl.biasFixed = make([]int64, out)
 	for n := 0; n < out; n++ {
-		hl.bias[n] = t.B.Value.At(0, n)
+		hl.biasFixed[n] = fixedBias(t.B.Value.At(0, n))
 		wi := hl.weightIdx[n]
 		ei := hl.edgeOf[n]
 		for i := 0; i < in; i++ {
 			wi[i] = cluster.Assign(wcb, t.W.Value.At(i, n))
 			ei[i] = i
 		}
-		if t.Skip {
-			hl.skipPos[n] = n // residual dense: in == out, aligned indices
-		}
 	}
-	return hl, nil
+	return hl
 }
 
-func buildConvHW(t *nn.Conv2D, p *composer.LayerPlan, next []float32, dev device.Params) (*hwLayer, error) {
-	if next == nil {
-		next = []float32{0}
-	}
+func buildConvHW(t *nn.Conv2D, p *composer.LayerPlan, next []float32, dev device.Params) *hwLayer {
 	hl := &hwLayer{kind: p.Kind, plan: p, skip: t.Skip}
 	relu := p.ActTable == nil
 	// One functional RNA per codebook group.
 	hl.rnas = make([]*FuncRNA, len(p.WeightCodebooks))
 	for g, wcb := range p.WeightCodebooks {
-		hl.rnas[g] = NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, relu, next, hwFracBits, planProducts(p, g))
+		hl.rnas[g] = NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, relu, next, p.ProductTable(g))
 	}
 	g := t.Geom
 	outH, outW := g.OutH(), g.OutW()
@@ -265,15 +219,7 @@ func buildConvHW(t *nn.Conv2D, p *composer.LayerPlan, next []float32, dev device
 	hl.weightIdx = make([][]int, neurons)
 	hl.edgeOf = make([][]int, neurons)
 	hl.groupOf = make([]int, neurons)
-	hl.bias = make([]float32, neurons)
-	if t.Skip {
-		// Shape-preserving residual conv: output (ch, y, x) adds input
-		// (ch, y, x), which shares the same flattened index.
-		hl.skipPos = make([]int, neurons)
-		for n := range hl.skipPos {
-			hl.skipPos[n] = n
-		}
-	}
+	hl.biasFixed = make([]int64, neurons)
 	// SoA pass 1: count each spatial window's in-bounds taps (independent of
 	// the channel), so the per-neuron edge lists can share one flat backing
 	// array instead of allocating per neuron.
@@ -303,6 +249,7 @@ func buildConvHW(t *nn.Conv2D, p *composer.LayerPlan, next []float32, dev device
 	for ch := 0; ch < t.OutC; ch++ {
 		book := p.ChannelCodebook[ch]
 		wcb := p.WeightCodebooks[book]
+		bias := fixedBias(t.B.Value.At(0, ch))
 		// Weight indices are shared by every position of the channel.
 		wi := make([]int, k)
 		for i := 0; i < k; i++ {
@@ -312,7 +259,7 @@ func buildConvHW(t *nn.Conv2D, p *composer.LayerPlan, next []float32, dev device
 			for ox := 0; ox < outW; ox++ {
 				n := ch*outH*outW + oy*outW + ox
 				hl.groupOf[n] = book
-				hl.bias[n] = t.B.Value.At(0, ch)
+				hl.biasFixed[n] = bias
 				// Gather the window's input positions into this neuron's
 				// full-capacity view of the flat arrays; out-of-bounds taps
 				// produce no edge at all (zero pad).
@@ -342,32 +289,29 @@ func buildConvHW(t *nn.Conv2D, p *composer.LayerPlan, next []float32, dev device
 			}
 		}
 	}
-	return hl, nil
+	return hl
 }
 
-func buildRecurrentHW(t *nn.Recurrent, p *composer.LayerPlan, next []float32, dev device.Params) (*hwLayer, error) {
-	wcb := p.WeightCodebooks[0]
+func buildRecurrentHW(t *nn.Recurrent, p *composer.LayerPlan, next []float32, dev device.Params) *hwLayer {
+	wcb, products := p.WeightCodebooks[0], p.ProductTable(0)
 	relu := p.ActTable == nil
-	if next == nil {
-		next = []float32{0}
-	}
 	hl := &hwLayer{
 		kind: p.Kind, plan: p,
 		rnnIn: t.In, rnnH: t.H, rnnSteps: t.Steps,
 		// rnas[0] encodes the final hidden state for the consumer; rnnLoop
 		// re-encodes intermediate states onto the layer's own codebook. Both
-		// share the (wcb, ucb) pair, so a borrowed product table serves both.
-		rnas:    []*FuncRNA{NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, relu, next, hwFracBits, planProducts(p, 0))},
-		rnnLoop: NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, relu, p.InputCodebook, hwFracBits, planProducts(p, 0)),
+		// share the (wcb, ucb) pair, so one product table serves both.
+		rnas:    []*FuncRNA{NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, relu, next, products)},
+		rnnLoop: NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, relu, p.InputCodebook, products),
 	}
 	// Per hidden neuron j: In edges from the frame (Wx column j) followed by
 	// H edges from the fed-back state (Wh column j), SoA-packed like the
 	// feed-forward layers.
 	hl.weightIdx = flattenRows(t.H, t.In+t.H)
 	hl.groupOf = make([]int, t.H)
-	hl.bias = make([]float32, t.H)
+	hl.biasFixed = make([]int64, t.H)
 	for j := 0; j < t.H; j++ {
-		hl.bias[j] = t.B.Value.At(0, j)
+		hl.biasFixed[j] = fixedBias(t.B.Value.At(0, j))
 		wi := hl.weightIdx[j]
 		for i := 0; i < t.In; i++ {
 			wi[i] = cluster.Assign(wcb, t.Wx.Value.At(i, j))
@@ -376,7 +320,7 @@ func buildRecurrentHW(t *nn.Recurrent, p *composer.LayerPlan, next []float32, de
 			wi[t.In+k] = cluster.Assign(wcb, t.Wh.Value.At(k, j))
 		}
 	}
-	return hl, nil
+	return hl
 }
 
 func buildPoolHW(t *nn.Pool2D, p *composer.LayerPlan, next []float32) *hwLayer {
@@ -466,13 +410,15 @@ func (h *HardwareNetwork) foldObs(n int, st crossbar.Stats) {
 
 // inferOne is the re-entrant evaluation of one input of h.inSize features:
 // it only reads the shared network configuration (every FuncRNA is
-// evaluated in s, bias passed by value) and returns the input's substrate
-// activity instead of accumulating shared state. All intermediate state —
-// the ping-pong activation buffers, the edge gather buffer, the recurrent
-// frame/state buffers and every per-neuron working set — lives in s, so a
-// worker that reuses one Scratch classifies inputs without allocating in
-// steady state. s must not be shared between concurrent inferOne calls.
-func (h *HardwareNetwork) inferOne(x []float32, s *Scratch) (int, crossbar.Stats, error) {
+// evaluated in s, bias passed by value) and returns the input's predicted
+// class and substrate activity instead of accumulating shared state. All
+// intermediate state — the ping-pong activation buffers, the edge gather
+// buffer, the recurrent frame/state buffers and every per-neuron working set
+// — lives in s, so a worker that reuses one Scratch classifies inputs
+// without allocating in steady state. s must not be shared between
+// concurrent inferOne calls. BuildHardwareNetwork has checked every layer's
+// feed width and the logit layer, so nothing here can fail.
+func (h *HardwareNetwork) inferOne(x []float32, s *Scratch) (int, crossbar.Stats) {
 	var stats crossbar.Stats
 	// Virtual layer (§2.2): encode the raw input onto the first compute
 	// layer's codebook. enc/nxt ping-pong between the scratch's two
@@ -483,23 +429,16 @@ func (h *HardwareNetwork) inferOne(x []float32, s *Scratch) (int, crossbar.Stats
 	for i, v := range x {
 		enc[i] = cluster.Assign(first.plan.InputCodebook, v)
 	}
-	defer func() {
-		// Hand the (possibly grown) buffers back whichever way they ended up.
-		s.actA, s.actB = enc, nxt
-	}()
+	best, bestV := 0, math.Inf(-1)
 	for _, hl := range h.layers {
 		// One span per layer per input; names are fixed at build time so the
-		// traced path formats nothing. Error paths simply drop the open span.
+		// traced path formats nothing.
 		var sp obs.Span
 		if h.Trace != nil {
 			sp = h.Trace.Start("rna", hl.traceName)
 		}
 		switch {
 		case hl.kind == composer.KindRecurrent:
-			if want := hl.rnnIn * hl.rnnSteps; len(enc) != want {
-				return 0, stats, fmt.Errorf("rna: recurrent layer wants %d×%d = %d features, got %d",
-					hl.rnnSteps, hl.rnnIn, want, len(enc))
-			}
 			inCB := hl.plan.InputCodebook
 			// The zero initial state enters as the codebook's nearest-to-zero
 			// representative.
@@ -529,82 +468,72 @@ func (h *HardwareNetwork) inferOne(x []float32, s *Scratch) (int, crossbar.Stats
 			s.rnnState, s.rnnNext, s.rnnFeed = hState, hNext, feed
 			nxt = resizeInts(nxt, hl.rnnH)
 			copy(nxt, hState)
-			enc, nxt = nxt, enc
-		case hl.kind == composer.KindPool:
-			out := resizeInts(nxt, len(hl.poolWindows))
-			if hl.poolAvg {
-				// Average pooling (§4.2.1): the crossbar sums the decoded
-				// window values in memory; the division by the window size is
-				// normalized into the weights offline, so here it is a fixed
-				// reciprocal multiply; the result re-encodes through the AM.
-				if hl.poolCB == nil {
-					return 0, stats, fmt.Errorf("rna: avg pool feeding the logit layer is unsupported")
+		case hl.poolAvg:
+			// Average pooling (§4.2.1): the crossbar sums the decoded window
+			// values in memory; the division by the window size is normalized
+			// into the weights offline, so here it is a fixed reciprocal
+			// multiply; the result re-encodes through the AM.
+			nxt = resizeInts(nxt, len(hl.poolWindows))
+			inv := 1.0 / float64(len(hl.poolWindows[0]))
+			for n, win := range hl.poolWindows {
+				addends := s.addends[:0]
+				for _, pos := range win {
+					addends = append(addends, uint64(toFixed(float64(hl.poolCB[enc[pos]]), composer.FlatProductFracBits))&math.MaxUint32)
 				}
-				inv := 1.0 / float64(len(hl.poolWindows[0]))
-				for n, win := range hl.poolWindows {
-					addends := s.addends[:0]
-					for _, pos := range win {
-						addends = append(addends, uint64(toFixed(float64(hl.poolCB[enc[pos]]), hwFracBits))&math.MaxUint32)
-					}
-					s.addends = addends
-					raw, st := s.add.AddMany(h.dev, addends, sumWidth)
-					stats = addStats(stats, st)
-					mean := fromFixed(int64(int32(uint32(raw))), hwFracBits) * inv
-					out[n] = cluster.Assign(hl.poolCB, float32(mean))
-				}
-				enc, nxt = out, enc
-				sp.End()
-				continue
+				s.addends = addends
+				raw, st := s.add.AddMany(h.dev, addends, sumWidth)
+				stats = addStats(stats, st)
+				mean := fromFixed(int64(int32(uint32(raw))), composer.FlatProductFracBits) * inv
+				nxt[n] = cluster.Assign(hl.poolCB, float32(mean))
 			}
+		case hl.kind == composer.KindPool:
 			// Encoded values compare like their codebook values (sorted
 			// levels), so max pooling is a max over indices — realized by the
 			// encoder NDCAM search in hardware (§4.2.1). The window's
 			// substrate activity — refilling the pooling CAM plus one search —
 			// is charged per window so pooling-layer work reaches the totals.
+			nxt = resizeInts(nxt, len(hl.poolWindows))
 			for n, win := range hl.poolWindows {
-				best := enc[win[0]]
+				top := enc[win[0]]
 				for _, pos := range win[1:] {
-					if enc[pos] > best {
-						best = enc[pos]
+					if enc[pos] > top {
+						top = enc[pos]
 					}
 				}
-				out[n] = best
+				nxt[n] = top
 				stats = addStats(stats, poolCAMStats(h.dev, len(win)))
 			}
-			enc, nxt = out, enc
-		case hl.isLogit:
-			// Final layer: raw fixed-point sums, argmax comparator.
-			best, bestV := 0, math.Inf(-1)
-			for n := range hl.weightIdx {
-				r := hl.rnas[hl.groupOf[n]]
-				pre, st := r.AccumulateBiasScratch(hl.weightIdx[n], gatherInto(&s.gather, enc, hl.edgeOf[n]), hl.biasFixed[n], s)
-				stats = addStats(stats, st)
-				if pre > bestV {
-					best, bestV = n, pre
-				}
-			}
-			sp.End()
-			return best, stats, nil
 		default:
+			// Dense and conv neurons. The logit layer, always the last one,
+			// keeps its raw fixed-point sums for the argmax comparator; every
+			// other layer activates and encodes onto its consumer's codebook.
 			inCB := hl.plan.InputCodebook
-			out := resizeInts(nxt, len(hl.weightIdx))
+			nxt = resizeInts(nxt, len(hl.weightIdx))
 			for n := range hl.weightIdx {
 				r := hl.rnas[hl.groupOf[n]]
 				pre, st := r.AccumulateBiasScratch(hl.weightIdx[n], gatherInto(&s.gather, enc, hl.edgeOf[n]), hl.biasFixed[n], s)
 				stats = addStats(stats, st)
+				if hl.isLogit {
+					if pre > bestV {
+						best, bestV = n, pre
+					}
+					continue
+				}
 				z := r.activate(pre, s)
 				if hl.skip {
 					// Residual: the skipped encoded input re-enters through
 					// the input FIFO and adds before encoding (§4.3).
-					z += float64(inCB[enc[hl.skipPos[n]]])
+					z += float64(inCB[enc[n]])
 				}
-				out[n] = r.encodeValue(z, s)
+				nxt[n] = r.encodeValue(z, s)
 			}
-			enc, nxt = out, enc
 		}
+		enc, nxt = nxt, enc
 		sp.End()
 	}
-	return 0, stats, fmt.Errorf("rna: network ended without a logit layer")
+	// Hand the (possibly grown) buffers back for the next input.
+	s.actA, s.actB = enc, nxt
+	return best, stats
 }
 
 // poolCAMStats is the substrate activity one max-pooling window accrues on
@@ -627,13 +556,7 @@ func (h *HardwareNetwork) workers(n int) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return min(w, n)
 }
 
 // InSize returns the number of input features the network consumes.
@@ -641,14 +564,14 @@ func (h *HardwareNetwork) InSize() int { return h.inSize }
 
 // InferBatchStats classifies every row of x through the hardware path and
 // returns the predictions in row order together with the batch's substrate
-// activity. The batch fans out over h.Workers goroutines (default
-// GOMAXPROCS); the per-input activity is folded into the returned total in
-// row order, so predictions and totals are bit-identical to evaluating the
-// rows one by one. It reads only the shared network configuration, so any
-// number of InferBatchStats calls may run concurrently on one
-// HardwareNetwork — a serving batcher aggregates the returned Stats under
-// its own lock. When any row fails, the error of the lowest-indexed failing
-// row is returned.
+// activity. The batch fans out over h.Workers shares (default GOMAXPROCS),
+// one of them run by the calling goroutine; the per-input activity is folded
+// into the returned total in row order, so predictions and totals are
+// bit-identical to evaluating the rows one by one. It reads only the shared
+// network configuration, so any number of InferBatchStats calls may run
+// concurrently on one HardwareNetwork — a serving batcher aggregates the
+// returned Stats under its own lock. It errors only on a batch whose rows are
+// not InSize features wide.
 func (h *HardwareNetwork) InferBatchStats(x *tensor.Tensor) ([]int, crossbar.Stats, error) {
 	var total crossbar.Stats
 	if x == nil {
@@ -664,57 +587,35 @@ func (h *HardwareNetwork) InferBatchStats(x *tensor.Tensor) ([]int, crossbar.Sta
 	if h.Trace != nil {
 		sp = h.Trace.Start("rna", "infer_batch", obs.L("rows", strconv.Itoa(n)))
 	}
+	data := x.Data()
 	preds := make([]int, n)
 	stats := make([]crossbar.Stats, n)
-	errs := make([]error, n)
-	workers := h.workers(n)
-	if workers == 1 {
+	// Each share claims rows one at a time and owns one Scratch for all of
+	// them: every per-input buffer — and the batch-scoped CAM lookup cache —
+	// is reused across its rows with no sharing between shares, and the
+	// arena goes back to the pool (cache disarmed) when the batch drains.
+	var claimed atomic.Int64
+	share := func() {
 		s := scratchPool.Get().(*Scratch)
 		s.enableCAMCache()
-		for i := 0; i < n; i++ {
-			row := x.Data()[i*h.inSize : (i+1)*h.inSize]
-			preds[i], stats[i], errs[i] = h.inferOne(row, s)
+		for i := int(claimed.Add(1) - 1); i < n; i = int(claimed.Add(1) - 1) {
+			preds[i], stats[i] = h.inferOne(data[i*h.inSize:(i+1)*h.inSize], s)
 		}
 		h.foldCAMObs(s)
 		s.disableCAMCache()
 		scratchPool.Put(s)
-	} else {
-		next := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Each worker owns one Scratch for its whole share of the
-				// batch: all per-input buffers — and the batch-scoped CAM
-				// lookup cache — are reused across rows with no sharing
-				// between workers, and the arena goes back to the pool
-				// (cache disarmed) when the batch drains.
-				s := scratchPool.Get().(*Scratch)
-				s.enableCAMCache()
-				defer func() {
-					h.foldCAMObs(s)
-					s.disableCAMCache()
-					scratchPool.Put(s)
-				}()
-				for i := range next {
-					row := x.Data()[i*h.inSize : (i+1)*h.inSize]
-					preds[i], stats[i], errs[i] = h.inferOne(row, s)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
 	}
+	var wg sync.WaitGroup
+	for w := h.workers(n); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			share()
+		}()
+	}
+	share()
+	wg.Wait()
 	sp.End()
-	for _, err := range errs {
-		if err != nil {
-			return nil, total, err
-		}
-	}
 	// Deterministic merge: fold per-input stats in input order, exactly the
 	// sequence the serial path would have produced.
 	for _, s := range stats {

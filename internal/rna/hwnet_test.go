@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/composer"
@@ -194,6 +195,16 @@ func TestBuildHardwareNetworkValidation(t *testing.T) {
 	plans := composer.SyntheticPlans(poolOnly, 4, 4, 16)
 	if _, err := BuildHardwareNetwork(poolOnly, plans, dev()); err == nil {
 		t.Fatal("network without a compute tail must be rejected")
+	}
+	// A recurrent final layer emits encoded hidden states, never the raw
+	// per-class sums the argmax comparator reads: refused at build time
+	// rather than built into a network on which every inference fails.
+	rnnLast := nn.NewNetwork("rnnlast").
+		Add(nn.NewDense("fc", 8, 8, nn.Tanh{}, rng)).
+		Add(nn.NewRecurrent("rnn", 4, 3, 2, nn.Tanh{}, rng))
+	_, err := BuildHardwareNetwork(rnnLast, composer.SyntheticPlans(rnnLast, 8, 8, 16), dev())
+	if err == nil || !strings.Contains(err.Error(), "final layer rnn is recurrent") {
+		t.Fatalf("recurrent logit layer: err = %v, want a build-time rejection naming it", err)
 	}
 }
 

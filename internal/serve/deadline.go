@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -86,20 +85,4 @@ func checkDeadline(budget, maxDelay time.Duration, depth int, drainPerSec float6
 		}
 	}
 	return deadlineVerdict{}
-}
-
-// deadlineRetryAfter hints how long a deadline-rejected client should wait
-// before retrying: the queue's estimated drain time when known, else the
-// minimum.
-func deadlineRetryAfter(depth int, drainPerSec float64) int {
-	if depth > 0 && drainPerSec > 0 {
-		secs := int(math.Ceil(float64(depth) / drainPerSec))
-		if secs > retryAfterMaxSec {
-			return retryAfterMaxSec
-		}
-		if secs > retryAfterMinSec {
-			return secs
-		}
-	}
-	return retryAfterMinSec
 }

@@ -421,7 +421,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		depth, drain := ln.b.Depth(), ln.met.DrainRate(time.Now())
 		if v := checkDeadline(budget, s.batchFloor, depth, drain); v.reject {
 			s.deadlineOutcome(v.reason)
-			w.Header().Set("Retry-After", strconv.Itoa(deadlineRetryAfter(depth, drain)))
+			w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds(depth, drain)))
 			writeError(w, http.StatusServiceUnavailable,
 				"deadline budget %v rejected at admission (%s): lane %s/%s has depth %d",
 				budget, v.reason, m.Name, path, depth)
