@@ -143,8 +143,8 @@ fleet-smoke:
 # slow replica (latency failpoint) and a flaky one (injected 500s) behind
 # the router. Closed-loop load must see only successes and explicit sheds,
 # with a bounded tail (hedging) and bounded attempt amplification (retry
-# budget); a sub-batch-floor deadline must be shed at admission. -count=1 so
-# the fault run is always live, never a cached test result.
+# budget); a deadline share already spent must be shed at admission.
+# -count=1 so the fault run is always live, never a cached test result.
 chaos-smoke:
 	go test -run '^TestRouterChaosSmoke$$' -count=1 ./cmd/rapidnn-router/
 

@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -162,8 +163,8 @@ func TestRouterCLIFailoverUnderLoad(t *testing.T) {
 	artifact := filepath.Join(dir, "v1.rapidnn")
 	writeFlat(t, artifact, makeComposed(t, 1))
 
-	b1 := start(t, serveBin, "-model", "m="+artifact, "-max-delay", "1ms", "-replica-id", "r1")
-	b2 := start(t, serveBin, "-model", "m="+artifact, "-max-delay", "1ms", "-replica-id", "r2")
+	b1 := start(t, serveBin, "-model", "m="+artifact, "-replica-id", "r1")
+	b2 := start(t, serveBin, "-model", "m="+artifact, "-replica-id", "r2")
 	rt := start(t, routerBin,
 		"-replica", b1.addr, "-replica", b2.addr,
 		"-poll-interval", "50ms", "-down-after", "2", "-retries", "2")
@@ -255,8 +256,8 @@ func TestRouterCLICanaryRolloutGatesAndRollsBack(t *testing.T) {
 		"-registry", regDir,
 		"-poll-interval", "50ms",
 		"-canary-fraction", "0.5", "-observe-window", "100ms")
-	start(t, serveBin, "-model", "m="+reg.Path("m", "v1"), "-max-delay", "1ms", "-register", rt.addr)
-	start(t, serveBin, "-model", "m="+reg.Path("m", "v1"), "-max-delay", "1ms", "-register", rt.addr)
+	start(t, serveBin, "-model", "m="+reg.Path("m", "v1"), "-register", rt.addr)
+	start(t, serveBin, "-model", "m="+reg.Path("m", "v1"), "-register", rt.addr)
 	waitHealthy(t, rt.addr, 2)
 
 	rollTo := func(version string) (int, rollout.Status) {
@@ -379,9 +380,10 @@ func TestRouterCLICanaryRolloutGatesAndRollsBack(t *testing.T) {
 	}
 }
 
-// scrapeCounter sums every series of a metric from a /metrics endpoint;
-// (0, false) when the metric is absent.
-func scrapeCounter(t *testing.T, base, name string) (float64, bool) {
+// scrapeCounter sums every series of a metric from a /metrics endpoint
+// whose labels include each of labels (rendered as `key="value"`);
+// (0, false) when no such series exists.
+func scrapeCounter(t *testing.T, base, name string, labels ...string) (float64, bool) {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -398,7 +400,7 @@ func scrapeCounter(t *testing.T, base, name string) (float64, bool) {
 			continue
 		}
 		rest := line[len(name):]
-		if rest == "" || (rest[0] != '{' && rest[0] != ' ') {
+		if rest == "" || (rest[0] != '{' && rest[0] != ' ') || !hasLabels(rest, labels) {
 			continue
 		}
 		i := strings.LastIndexByte(line, ' ')
@@ -410,6 +412,21 @@ func scrapeCounter(t *testing.T, base, name string) (float64, bool) {
 		found = true
 	}
 	return sum, found
+}
+
+// hasLabels reports whether the label set that opens a metric line's rest
+// contains every wanted label.
+func hasLabels(rest string, want []string) bool {
+	var set []string
+	if rest[0] == '{' {
+		set = strings.Split(rest[1:strings.IndexByte(rest, '}')], ",")
+	}
+	for _, l := range want {
+		if !slices.Contains(set, l) {
+			return false
+		}
+	}
+	return true
 }
 
 // chaosFires reads a replica's /chaos admin endpoint and sums fire counts.
@@ -441,8 +458,8 @@ func chaosFires(t *testing.T, base string) uint64 {
 // successes and explicit sheds — never a raw backend error — with a bounded
 // tail (hedging routes around the slow replica) and bounded attempt
 // amplification (the retry budget caps retries+hedges as a fraction of
-// primaries). A request arriving with a deadline below the replicas' batch
-// floor is rejected at admission, not enqueued.
+// primaries). A request whose deadline share is already spent when it
+// reaches a replica is rejected at admission, not enqueued.
 func TestRouterChaosSmoke(t *testing.T) {
 	routerBin := buildBinary(t, ".", "rapidnn-router")
 	serveBin := buildBinary(t, "repro/cmd/rapidnn-serve", "rapidnn-serve")
@@ -450,9 +467,9 @@ func TestRouterChaosSmoke(t *testing.T) {
 	artifact := filepath.Join(dir, "v1.rapidnn")
 	writeFlat(t, artifact, makeComposed(t, 1))
 
-	slow := start(t, serveBin, "-model", "m="+artifact, "-max-delay", "4ms", "-replica-id", "slow",
+	slow := start(t, serveBin, "-model", "m="+artifact, "-replica-id", "slow",
 		"-chaos", "serve.predict=latency:150ms@0.5", "-chaos-seed", "7")
-	flaky := start(t, serveBin, "-model", "m="+artifact, "-max-delay", "4ms", "-replica-id", "flaky",
+	flaky := start(t, serveBin, "-model", "m="+artifact, "-replica-id", "flaky",
 		"-chaos", "serve.predict=http:500@0.3", "-chaos-seed", "11")
 	rt := start(t, routerBin,
 		"-replica", slow.addr, "-replica", flaky.addr,
@@ -515,9 +532,10 @@ func TestRouterChaosSmoke(t *testing.T) {
 		t.Error("flaky replica's 500 failpoint never fired")
 	}
 
-	// Deadline probe: a 1ms budget is under the replicas' 4ms batch floor,
-	// so it must be rejected at admission — shed with a 503, never batched
-	// into the lane and never answered 200.
+	// Deadline probe: the router splits a 1ms budget across its candidates
+	// and stamps each sub-millisecond share as 0, so every replica the probe
+	// reaches finds it expired and must reject it at admission — shed with
+	// a 503, never batched into the lane and never answered 200.
 	probe503 := 0
 	for i := 0; i < 10; i++ {
 		body, _ := json.Marshal(map[string]any{
@@ -536,7 +554,7 @@ func TestRouterChaosSmoke(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusOK {
-			t.Fatalf("deadline probe %d answered 200: a 1ms budget beat a 4ms batch floor", i)
+			t.Fatalf("deadline probe %d answered 200: a replica admitted an expired deadline share", i)
 		}
 		if resp.StatusCode == http.StatusServiceUnavailable {
 			probe503++
@@ -547,13 +565,13 @@ func TestRouterChaosSmoke(t *testing.T) {
 	}
 	rejected := 0.0
 	for _, replica := range []string{slow.addr, flaky.addr} {
-		if v, ok := scrapeCounter(t, replica, "rapidnn_serve_deadline_rejected_total"); ok {
+		if v, ok := scrapeCounter(t, replica, "rapidnn_serve_deadline_rejected_total", `reason="expired"`); ok {
 			rejected += v
 		}
 	}
 	if rejected == 0 {
-		t.Error("no replica counted a deadline admission rejection")
+		t.Error(`no replica counted a reason="expired" deadline admission rejection`)
 	}
-	t.Logf("chaos smoke: statuses %v, p99 %v, %.0f attempts, %d/10 probes 503, %.0f admission rejections",
+	t.Logf("chaos smoke: statuses %v, p99 %v, %.0f attempts, %d/10 probes 503, %.0f expired-deadline rejections",
 		counts, p99, attempts, probe503, rejected)
 }

@@ -78,7 +78,7 @@ func TestServeCLIShedsCorruptArtifact(t *testing.T) {
 	cmd := exec.Command(bin,
 		"-model", "healthy="+good, "-model", "sick="+bad,
 		"-addr", "127.0.0.1:0", "-addr-file", addrFile,
-		"-canary-interval", "25ms", "-max-delay", "1ms")
+		"-canary-interval", "25ms")
 	var logBuf bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &logBuf, &logBuf
 	if err := cmd.Start(); err != nil {

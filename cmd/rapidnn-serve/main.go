@@ -116,8 +116,7 @@ func main() {
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening")
 	hw := flag.Bool("hw", false, "also lower models to the functional-hardware path (validation-grade, slow)")
 	workers := flag.Int("workers", 0, "hardware-path worker goroutines per batch (0 = GOMAXPROCS)")
-	maxBatch := flag.Int("max-batch", 16, "micro-batcher: close a batch at this many requests")
-	maxDelay := flag.Duration("max-delay", 2*time.Millisecond, "micro-batcher: close a batch this long after its first request")
+	maxBatch := flag.Int("max-batch", 16, "micro-batcher: take at most this many queued requests per batch")
 	queue := flag.Int("queue", 256, "admission queue depth; a full queue answers 503 + Retry-After")
 	timeout := flag.Duration("timeout", 30*time.Second, "server-side per-request deadline (0 = none)")
 	canaryInterval := flag.Duration("canary-interval", 0, "periodic canary self-test interval; degraded models are shed with 503s until scrubbed (0 = disabled)")
@@ -189,7 +188,6 @@ func main() {
 	srv := serve.NewServer(reg, serve.Config{
 		Batcher: serve.BatcherConfig{
 			MaxBatch:   *maxBatch,
-			MaxDelay:   *maxDelay,
 			QueueDepth: *queue,
 		},
 		RequestTimeout: *timeout,
@@ -206,8 +204,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("listening on %s (max-batch %d, max-delay %v, queue %d)\n",
-		ln.Addr(), *maxBatch, *maxDelay, *queue)
+	fmt.Printf("listening on %s (max-batch %d, queue %d)\n", ln.Addr(), *maxBatch, *queue)
 	if *addrFile != "" {
 		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()), 0o644); err != nil {
 			fail(err)

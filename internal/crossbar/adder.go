@@ -37,7 +37,9 @@ type AddScratch struct {
 	// sched[n] caches the Stats of an n-operand addition under (schedDev,
 	// schedWidth) — the NOR schedule depends only on the operand count and
 	// width, so steady-state accumulation charges stats by lookup instead of
-	// by gate. A device or width change invalidates the table.
+	// by gate. A device or width change invalidates the table. schedDev is
+	// a copy compared by value, so editing the Params a caller passes by
+	// pointer invalidates it too.
 	sched      []Stats
 	schedOK    []bool
 	schedDev   device.Params
@@ -49,10 +51,10 @@ type AddScratch struct {
 // later call from the cache. The replay accrues cycles and energy in exactly
 // the gate order of the gate-level walk, so cached Stats are bit-identical to
 // the simulated ones (float accumulation order included).
-func (s *AddScratch) schedule(dev device.Params, n, width int) Stats {
-	if s.schedDev != dev || s.schedWidth != width {
+func (s *AddScratch) schedule(dev *device.Params, n, width int) Stats {
+	if s.schedDev != *dev || s.schedWidth != width {
 		// Device or width changed: drop every cached shape.
-		s.schedDev, s.schedWidth = dev, width
+		s.schedDev, s.schedWidth = *dev, width
 		for i := range s.schedOK {
 			s.schedOK[i] = false
 		}
@@ -110,8 +112,9 @@ func (s *AddScratch) schedule(dev device.Params, n, width int) Stats {
 // carry-propagate word add for the final stage, with the Stats charged from
 // the memoized schedule table. It returns the sum modulo 2^width; sum and
 // Stats are bit-identical to the gate-level walk, and steady state performs
-// zero allocations.
-func (s *AddScratch) AddMany(dev device.Params, values []uint64, width int) (sum uint64, stats Stats) {
+// zero allocations. dev is read, never retained; it is a pointer so the hot
+// path does not copy the device parameters on every call.
+func (s *AddScratch) AddMany(dev *device.Params, values []uint64, width int) (sum uint64, stats Stats) {
 	if len(values) == 0 {
 		return 0, Stats{}
 	}

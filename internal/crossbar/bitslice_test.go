@@ -15,6 +15,7 @@ import (
 func TestAddManyMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	var s AddScratch
+	d := dev()
 	for trial := 0; trial < 300; trial++ {
 		n := rng.Intn(260)
 		width := 1 + rng.Intn(64)
@@ -22,8 +23,8 @@ func TestAddManyMatchesReference(t *testing.T) {
 		for i := range vals {
 			vals[i] = rng.Uint64()
 		}
-		wantSum, wantStats := AddManyReference(dev(), vals, width)
-		gotSum, gotStats := s.AddMany(dev(), vals, width)
+		wantSum, wantStats := AddManyReference(d, vals, width)
+		gotSum, gotStats := s.AddMany(&d, vals, width)
 		if gotSum != wantSum {
 			t.Fatalf("trial %d (n=%d, width=%d): bit-sliced sum %d, reference %d", trial, n, width, gotSum, wantSum)
 		}
@@ -39,7 +40,10 @@ func TestAddManyMatchesReference(t *testing.T) {
 }
 
 // The schedule cache must invalidate on device or width changes — a scratch
-// that hops between configurations still prices every call exactly.
+// that hops between configurations still prices every call exactly. Every
+// call passes the same pointer with new contents, and the device flips
+// between calls of equal width, so only the memo's value comparison can see
+// the change.
 func TestAddScratchScheduleInvalidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	var s AddScratch
@@ -51,14 +55,15 @@ func TestAddScratchScheduleInvalidation(t *testing.T) {
 	for i := range vals {
 		vals[i] = rng.Uint64()
 	}
+	var d device.Params
 	for trial := 0; trial < 40; trial++ {
-		d := d1
-		if trial%3 == 1 {
+		d = d1
+		if trial%2 == 1 {
 			d = d2
 		}
-		width := []int{32, 16, 64}[trial%3]
+		width := []int{32, 16, 64}[trial/2%3]
 		wantSum, wantStats := AddManyReference(d, vals, width)
-		gotSum, gotStats := s.AddMany(d, vals, width)
+		gotSum, gotStats := s.AddMany(&d, vals, width)
 		if gotSum != wantSum || gotStats != wantStats {
 			t.Fatalf("trial %d (width=%d): cached schedule went stale: got %+v, want %+v",
 				trial, width, gotStats, wantStats)
@@ -88,7 +93,7 @@ func FuzzAddManyBitSliced(f *testing.F) {
 		}
 		d := device.Default()
 		wantSum, wantStats := AddManyReference(d, vals, width)
-		gotSum, gotStats := s.AddMany(d, vals, width)
+		gotSum, gotStats := s.AddMany(&d, vals, width)
 		if gotSum != wantSum || gotStats != wantStats {
 			t.Fatalf("n=%d width=%d: bit-sliced (%d, %+v) vs reference (%d, %+v)",
 				n, width, gotSum, gotStats, wantSum, wantStats)

@@ -72,7 +72,8 @@ func TestNewValidation(t *testing.T) {
 
 // addMany is the production adder on a fresh scratch.
 func addMany(values []uint64, width int) (uint64, Stats) {
-	return new(AddScratch).AddMany(dev(), values, width)
+	d := dev()
+	return new(AddScratch).AddMany(&d, values, width)
 }
 
 func TestAddManySmall(t *testing.T) {

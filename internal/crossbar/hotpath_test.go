@@ -13,6 +13,7 @@ import (
 func TestAddScratchMatchesAddMany(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var s AddScratch
+	d := dev()
 	for trial := 0; trial < 120; trial++ {
 		n := rng.Intn(200) // includes 0 and 1-operand edge cases
 		width := 1 + rng.Intn(64)
@@ -21,7 +22,7 @@ func TestAddScratchMatchesAddMany(t *testing.T) {
 			vals[i] = rng.Uint64()
 		}
 		wantSum, wantStats := addMany(vals, width)
-		gotSum, gotStats := s.AddMany(dev(), vals, width)
+		gotSum, gotStats := s.AddMany(&d, vals, width)
 		if gotSum != wantSum {
 			t.Fatalf("trial %d (n=%d, width=%d): scratch sum %d, fresh sum %d", trial, n, width, gotSum, wantSum)
 		}
@@ -41,9 +42,9 @@ func TestAddScratchZeroAllocs(t *testing.T) {
 	}
 	var s AddScratch
 	d := dev()
-	s.AddMany(d, vals, 32)
+	s.AddMany(&d, vals, 32)
 	if allocs := testing.AllocsPerRun(100, func() {
-		s.AddMany(d, vals, 32)
+		s.AddMany(&d, vals, 32)
 	}); allocs != 0 {
 		t.Fatalf("AddScratch.AddMany allocates %v per op, want 0", allocs)
 	}
@@ -62,6 +63,6 @@ func BenchmarkAddScratch1024(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.AddMany(d, vals, 32)
+		s.AddMany(&d, vals, 32)
 	}
 }

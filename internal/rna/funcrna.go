@@ -20,7 +20,9 @@ import (
 // It exists to validate that the hardware path computes what the software
 // reinterpreted model promises.
 type FuncRNA struct {
-	dev device.Params
+	// dev is the owning network's one copy of the device parameters
+	// (HardwareNetwork.dev), borrowed so the adder reads it without a copy.
+	dev *device.Params
 	// products is the fixed-point pre-computed product table, flattened to a
 	// single stride-indexed row-major slice: product (w,u) lives at
 	// products[w·nU + u]. One backing array keeps the whole table on a few
@@ -60,8 +62,10 @@ const sumWidth = 32
 // loaded artifact a read-only view into the mapped file, shared by every
 // block configured from the same codebook group. The caller owns the backing
 // memory and must keep it mapped for the block's lifetime
-// (composer.Composed.Close is the usual release point).
-func NewFuncRNAShared(dev device.Params, wcb, ucb []float32,
+// (composer.Composed.Close is the usual release point). dev is borrowed too:
+// the block reads through it on every evaluation, so it must not change
+// while the block is in use.
+func NewFuncRNAShared(dev *device.Params, wcb, ucb []float32,
 	actTable *quant.ActTable, relu bool, nextCodebook []float32, products []int64) *FuncRNA {
 	if len(wcb) == 0 || len(ucb) == 0 || len(nextCodebook) == 0 {
 		panic("rna: empty codebook")
@@ -80,7 +84,7 @@ func NewFuncRNAShared(dev device.Params, wcb, ucb []float32,
 	if actTable != nil {
 		lo, hi := float64(actTable.Y[0]), float64(actTable.Y[len(actTable.Y)-1])
 		r.actFP = ndcam.NewFixedPoint(lo, hi, 16)
-		r.actCAM = ndcam.New(dev, 16, ndcam.Weighted)
+		r.actCAM = ndcam.New(*dev, 16, ndcam.Weighted)
 		for _, y := range actTable.Y {
 			r.actCAM.Write(r.actFP.Encode(float64(y)))
 		}
@@ -90,7 +94,7 @@ func NewFuncRNAShared(dev device.Params, wcb, ucb []float32,
 		hi = lo + 1
 	}
 	r.encFP = ndcam.NewFixedPoint(lo, hi, 16)
-	r.encCAM = ndcam.New(dev, 16, ndcam.Weighted)
+	r.encCAM = ndcam.New(*dev, 16, ndcam.Weighted)
 	for _, v := range nextCodebook {
 		r.encCAM.Write(r.encFP.Encode(float64(v)))
 	}

@@ -17,7 +17,7 @@ func hotNeuron() (*FuncRNA, []int, []int) {
 	ucb := randomCodebook(rng, 16, 1.0)
 	next := randomCodebook(rng, 16, 1.0)
 	table := quant.BuildActTable(nn.Sigmoid{}, 64, -8, 8, quant.NonLinear)
-	r := NewFuncRNAShared(dev(), wcb, ucb, table, false, next, productTable(wcb, ucb))
+	r := NewFuncRNAShared(devPtr(), wcb, ucb, table, false, next, productTable(wcb, ucb))
 	wi := make([]int, 64)
 	ui := make([]int, 64)
 	for i := range wi {

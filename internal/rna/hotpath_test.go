@@ -26,7 +26,7 @@ func fire(r *FuncRNA, wi, ui []int, bias int64, s *Scratch) (int, crossbar.Stats
 // search finds the largest. It returns the winning index and the CAM's write
 // and search activity — the walk poolCAMStats prices in closed form.
 func maxPoolOracle(r *FuncRNA, cb []float32, win []int) (int, crossbar.Stats) {
-	cam := ndcam.New(r.dev, 16, ndcam.Weighted)
+	cam := ndcam.New(*r.dev, 16, ndcam.Weighted)
 	for _, e := range win {
 		cam.Write(r.encFP.Encode(float64(cb[e])))
 	}
@@ -132,7 +132,7 @@ func TestMaxPoolRecordsCAMStats(t *testing.T) {
 	for i := range cb {
 		cb[i] = float32(i)/8 - 1
 	}
-	r := NewFuncRNAShared(dev(), cb, cb, nil, true, cb, productTable(cb, cb))
+	r := NewFuncRNAShared(devPtr(), cb, cb, nil, true, cb, productTable(cb, cb))
 	rng := rand.New(rand.NewSource(22))
 	for size := 1; size <= 9; size++ {
 		win := make([]int, size)
@@ -147,7 +147,7 @@ func TestMaxPoolRecordsCAMStats(t *testing.T) {
 		if row != best {
 			t.Fatalf("window %v: CAM walk picked %d, want the max index %d", win, row, best)
 		}
-		got := poolCAMStats(r.dev, size)
+		got := poolCAMStats(*r.dev, size)
 		if got.Writes != want.Writes || got.Cycles != want.Cycles || got.NORs != want.NORs || got.Reads != want.Reads {
 			t.Fatalf("window of %d: poolCAMStats %+v, CAM walk %+v", size, got, want)
 		}

@@ -115,11 +115,11 @@ func BuildHardwareNetwork(qnet *nn.Network, plans []*composer.LayerPlan, dev dev
 		var hl *hwLayer
 		switch t := l.(type) {
 		case *nn.Dense:
-			hl = buildDenseHW(t, p, next, dev)
+			hl = buildDenseHW(t, p, next, &h.dev)
 		case *nn.Conv2D:
-			hl = buildConvHW(t, p, next, dev)
+			hl = buildConvHW(t, p, next, &h.dev)
 		case *nn.Recurrent:
-			hl = buildRecurrentHW(t, p, next, dev)
+			hl = buildRecurrentHW(t, p, next, &h.dev)
 		case *nn.Pool2D:
 			hl = buildPoolHW(t, p, next)
 		case *nn.Dropout:
@@ -182,7 +182,7 @@ func flattenRows(n, w int) [][]int {
 	return rows
 }
 
-func buildDenseHW(t *nn.Dense, p *composer.LayerPlan, next []float32, dev device.Params) *hwLayer {
+func buildDenseHW(t *nn.Dense, p *composer.LayerPlan, next []float32, dev *device.Params) *hwLayer {
 	wcb := p.WeightCodebooks[0]
 	relu := p.ActTable == nil
 	rna := NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, relu, next, p.ProductTable(0))
@@ -204,7 +204,7 @@ func buildDenseHW(t *nn.Dense, p *composer.LayerPlan, next []float32, dev device
 	return hl
 }
 
-func buildConvHW(t *nn.Conv2D, p *composer.LayerPlan, next []float32, dev device.Params) *hwLayer {
+func buildConvHW(t *nn.Conv2D, p *composer.LayerPlan, next []float32, dev *device.Params) *hwLayer {
 	hl := &hwLayer{kind: p.Kind, plan: p, skip: t.Skip}
 	relu := p.ActTable == nil
 	// One functional RNA per codebook group.
@@ -292,7 +292,7 @@ func buildConvHW(t *nn.Conv2D, p *composer.LayerPlan, next []float32, dev device
 	return hl
 }
 
-func buildRecurrentHW(t *nn.Recurrent, p *composer.LayerPlan, next []float32, dev device.Params) *hwLayer {
+func buildRecurrentHW(t *nn.Recurrent, p *composer.LayerPlan, next []float32, dev *device.Params) *hwLayer {
 	wcb, products := p.WeightCodebooks[0], p.ProductTable(0)
 	relu := p.ActTable == nil
 	hl := &hwLayer{
@@ -481,7 +481,7 @@ func (h *HardwareNetwork) inferOne(x []float32, s *Scratch) (int, crossbar.Stats
 					addends = append(addends, uint64(toFixed(float64(hl.poolCB[enc[pos]]), composer.FlatProductFracBits))&math.MaxUint32)
 				}
 				s.addends = addends
-				raw, st := s.add.AddMany(h.dev, addends, sumWidth)
+				raw, st := s.add.AddMany(&h.dev, addends, sumWidth)
 				stats = addStats(stats, st)
 				mean := fromFixed(int64(int32(uint32(raw))), composer.FlatProductFracBits) * inv
 				nxt[n] = cluster.Assign(hl.poolCB, float32(mean))

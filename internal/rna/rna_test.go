@@ -15,6 +15,10 @@ import (
 
 func dev() device.Params { return device.Default() }
 
+// devPtr is a fresh default device for a block built outside a network, which
+// borrows its Params by pointer.
+func devPtr() *device.Params { d := dev(); return &d }
+
 // productTable is the crossbar product table the composer configures a
 // (wcb, ucb) block with.
 func productTable(wcb, ucb []float32) []int64 {
@@ -191,7 +195,7 @@ func TestFuncRNAMatchesSoftware(t *testing.T) {
 		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
 		bias := float32(rng.Float64()*0.2 - 0.1)
 		tab := quant.BuildActTable(nn.Sigmoid{}, 64, -8, 8, quant.NonLinear)
-		r := NewFuncRNAShared(dev(), wcb, ucb, tab, false, next, productTable(wcb, ucb))
+		r := NewFuncRNAShared(devPtr(), wcb, ucb, tab, false, next, productTable(wcb, ucb))
 
 		edges := 64
 		wi := make([]int, edges)
@@ -233,7 +237,7 @@ func TestFuncRNAReLUComparator(t *testing.T) {
 	wcb := randomCodebook(rng, 4, 0.5)
 	ucb := randomCodebook(rng, 4, 1.0)
 	next := []float32{0, 0.25, 0.5, 1}
-	r := NewFuncRNAShared(dev(), wcb, ucb, nil, true, next, productTable(wcb, ucb))
+	r := NewFuncRNAShared(devPtr(), wcb, ucb, nil, true, next, productTable(wcb, ucb))
 	// All-most-negative weights on positive inputs → ReLU clamps to 0.
 	wi := []int{0, 0, 0, 0}
 	ui := []int{3, 3, 3, 3}
@@ -250,7 +254,7 @@ func TestFuncRNAChargesSubstrateWork(t *testing.T) {
 	wcb := randomCodebook(rng, 8, 0.5)
 	ucb := randomCodebook(rng, 8, 1.0)
 	next := randomCodebook(rng, 8, 1.0)
-	r := NewFuncRNAShared(dev(), wcb, ucb, nil, true, next, productTable(wcb, ucb))
+	r := NewFuncRNAShared(devPtr(), wcb, ucb, nil, true, next, productTable(wcb, ucb))
 	wi := make([]int, 32)
 	ui := make([]int, 32)
 	for i := range wi {
@@ -268,7 +272,7 @@ func TestFuncRNAMaxPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	wcb := randomCodebook(rng, 4, 0.5)
 	ucb := []float32{-1, -0.25, 0.25, 1}
-	r := NewFuncRNAShared(dev(), wcb, ucb, nil, true, ucb, productTable(wcb, ucb))
+	r := NewFuncRNAShared(devPtr(), wcb, ucb, nil, true, ucb, productTable(wcb, ucb))
 	if got, _ := maxPoolOracle(r, ucb, []int{1, 3, 0, 2}); got != 3 {
 		t.Fatalf("max pool picked index %d, want 3", got)
 	}
@@ -279,13 +283,13 @@ func TestFuncRNAMaxPool(t *testing.T) {
 
 func TestFuncRNAValidation(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewFuncRNAShared(dev(), nil, []float32{1}, nil, true, []float32{1}, []int64{1}) },
-		func() { NewFuncRNAShared(dev(), []float32{1}, []float32{1}, nil, false, []float32{1}, []int64{1}) },
-		func() { NewFuncRNAShared(dev(), []float32{1}, []float32{1}, nil, true, []float32{1}, []int64{1, 2}) },
+		func() { NewFuncRNAShared(devPtr(), nil, []float32{1}, nil, true, []float32{1}, []int64{1}) },
+		func() { NewFuncRNAShared(devPtr(), []float32{1}, []float32{1}, nil, false, []float32{1}, []int64{1}) },
+		func() { NewFuncRNAShared(devPtr(), []float32{1}, []float32{1}, nil, true, []float32{1}, []int64{1, 2}) },
 		// No table, no block: the composer is the only producer of tables.
-		func() { NewFuncRNAShared(dev(), []float32{1}, []float32{1}, nil, true, []float32{1}, nil) },
+		func() { NewFuncRNAShared(devPtr(), []float32{1}, []float32{1}, nil, true, []float32{1}, nil) },
 		func() {
-			r := NewFuncRNAShared(dev(), []float32{1}, []float32{1}, nil, true, []float32{1}, []int64{1})
+			r := NewFuncRNAShared(devPtr(), []float32{1}, []float32{1}, nil, true, []float32{1}, []int64{1})
 			r.AccumulateBiasScratch([]int{0}, []int{0, 1}, 0, NewScratch())
 		},
 	} {

@@ -48,13 +48,11 @@ var (
 // be re-entrant.
 type InferFn func(rows [][]float32) ([]int, crossbar.Stats, error)
 
-// BatcherConfig tunes the latency/throughput trade-off of the micro-batcher.
+// BatcherConfig sizes the micro-batcher.
 type BatcherConfig struct {
-	// MaxBatch closes a batch at this many requests. 1 disables coalescing.
+	// MaxBatch caps how many queued requests one batch takes. 1 disables
+	// coalescing.
 	MaxBatch int
-	// MaxDelay closes a batch this long after its first request was picked
-	// up, bounding the latency a lone request pays waiting for company.
-	MaxDelay time.Duration
 	// QueueDepth bounds the admission queue; a full queue rejects with
 	// ErrQueueFull instead of queueing unbounded latency.
 	QueueDepth int
@@ -70,9 +68,6 @@ type BatcherConfig struct {
 func (c BatcherConfig) withDefaults() BatcherConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
@@ -99,8 +94,9 @@ type result struct {
 }
 
 // Batcher coalesces concurrent single-row submissions into batched InferFn
-// calls: a batch closes when MaxBatch rows have gathered or MaxDelay has
-// passed since its first row, whichever comes first.
+// calls by continuous batching: an idle lane dispatches a request the moment
+// it arrives, and the requests that queue while a batch executes form the
+// next one, up to MaxBatch rows. No request ever waits for company.
 type Batcher struct {
 	cfg   BatcherConfig
 	infer InferFn
@@ -178,7 +174,9 @@ func (b *Batcher) Close() {
 }
 
 // run is the dispatcher: it owns batch formation, so exactly one InferFn
-// call is in flight at a time and the backend needs no locking.
+// call is in flight at a time and the backend needs no locking. It blocks
+// only while the lane is idle; the request that wakes it is dispatched at
+// once together with whatever has already queued behind it.
 func (b *Batcher) run() {
 	defer close(b.drained)
 	for {
@@ -187,7 +185,6 @@ func (b *Batcher) run() {
 			return // closed and fully drained
 		}
 		batch := []*request{first}
-		timer := time.NewTimer(b.cfg.MaxDelay)
 	collect:
 		for len(batch) < b.cfg.MaxBatch {
 			select {
@@ -196,11 +193,10 @@ func (b *Batcher) run() {
 					break collect // shutdown: flush this final partial batch
 				}
 				batch = append(batch, req)
-			case <-timer.C:
-				break collect
+			default:
+				break collect // nothing else queued: dispatch without waiting
 			}
 		}
-		timer.Stop()
 		b.dispatch(batch)
 	}
 }

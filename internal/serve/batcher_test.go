@@ -21,20 +21,64 @@ func echoInfer(rows [][]float32) ([]int, crossbar.Stats, error) {
 	return preds, crossbar.Stats{}, nil
 }
 
+// gate holds the first batch inside the backend until it is opened. While
+// that batch executes, a test can queue requests behind it and know exactly
+// how continuous batching will cut them: the dispatcher takes up to MaxBatch
+// of them per batch once the gate opens.
+type gate struct {
+	entered chan struct{} // closed once the first batch is inside infer
+	open    chan struct{} // closed by the test to release the first batch
+
+	mu    sync.Mutex
+	sizes []int // rows per backend call, in dispatch order
+}
+
+func newGate() *gate {
+	return &gate{entered: make(chan struct{}), open: make(chan struct{})}
+}
+
+func (g *gate) wrap(infer InferFn) InferFn {
+	return func(rows [][]float32) ([]int, crossbar.Stats, error) {
+		g.mu.Lock()
+		g.sizes = append(g.sizes, len(rows))
+		first := len(g.sizes) == 1
+		g.mu.Unlock()
+		if first {
+			close(g.entered)
+			<-g.open
+		}
+		return infer(rows)
+	}
+}
+
+func (g *gate) batchSizes() []int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]int(nil), g.sizes...)
+}
+
 func TestBatcherPairsRequestsToResponses(t *testing.T) {
-	b := NewBatcher(BatcherConfig{MaxBatch: 8, MaxDelay: time.Millisecond}, echoInfer, nil)
+	g := newGate()
+	b := NewBatcher(BatcherConfig{MaxBatch: 8}, g.wrap(echoInfer), nil)
 	defer b.Close()
 	const n = 64
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	preds := make([]int, n)
-	for i := 0; i < n; i++ {
+	submit := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			preds[i], errs[i] = b.Submit(context.Background(), []float32{float32(i)})
-		}(i)
+		}()
 	}
+	submit(0)
+	<-g.entered // request 0 runs alone; the rest queue behind it
+	for i := 1; i < n; i++ {
+		submit(i)
+	}
+	waitDepth(t, b, n-1)
+	close(g.open)
 	wg.Wait()
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
@@ -48,24 +92,67 @@ func TestBatcherPairsRequestsToResponses(t *testing.T) {
 	if st.Admitted != n || st.Completed != n {
 		t.Fatalf("admitted %d completed %d, want %d", st.Admitted, st.Completed, n)
 	}
-	if st.Batches >= n {
-		t.Fatalf("%d batches for %d concurrent requests — no coalescing happened", st.Batches, n)
+	// One lone batch, then the 63 queued rows in full batches of 8 and a
+	// last batch of 7.
+	if want := 1 + (n-1+7)/8; st.Batches != uint64(want) {
+		t.Fatalf("%d batches for %d requests, want %d (sizes %v)", st.Batches, n, want, g.batchSizes())
 	}
 }
 
+// Continuous batching: rows that queue while a batch executes form the next
+// batch whole, and MaxBatch still caps it — MaxBatch+3 queued rows go out
+// as a batch of MaxBatch and a batch of 3.
+func TestBatcherQueuedRowsFormNextBatch(t *testing.T) {
+	const maxBatch = 8
+	for _, k := range []int{5, maxBatch, maxBatch + 3} {
+		t.Run(fmt.Sprintf("queued=%d", k), func(t *testing.T) {
+			g := newGate()
+			b := NewBatcher(BatcherConfig{MaxBatch: maxBatch}, g.wrap(echoInfer), nil)
+			defer b.Close()
+			results := make(chan error, k+1)
+			submit := func(v int) {
+				go func() {
+					pred, err := b.Submit(context.Background(), []float32{float32(v)})
+					if err == nil && pred != v {
+						err = fmt.Errorf("row %d predicted %d", v, pred)
+					}
+					results <- err
+				}()
+			}
+			submit(0)
+			<-g.entered
+			for i := 1; i <= k; i++ {
+				submit(i)
+			}
+			waitDepth(t, b, k)
+			close(g.open)
+			for i := 0; i <= k; i++ {
+				if err := <-results; err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := []int{1, k}
+			if k > maxBatch {
+				want = []int{1, maxBatch, k - maxBatch}
+			}
+			if got := g.batchSizes(); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("batch sizes %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// A lone request on an idle lane is dispatched at once as a batch of one:
+// nothing holds it back waiting for company, however large MaxBatch is.
 func TestBatcherFlushesLoneRequestAfterMaxDelay(t *testing.T) {
-	b := NewBatcher(BatcherConfig{MaxBatch: 1000, MaxDelay: 10 * time.Millisecond}, echoInfer, nil)
+	b := NewBatcher(BatcherConfig{MaxBatch: 1000}, echoInfer, nil)
 	defer b.Close()
-	start := time.Now()
 	pred, err := b.Submit(context.Background(), []float32{42})
 	if err != nil || pred != 42 {
 		t.Fatalf("got (%d, %v)", pred, err)
 	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("lone request waited %v — MaxDelay flush did not fire", waited)
-	}
-	if st := b.Metrics().Snapshot(0); st.BatchSizes["1"] != 1 {
-		t.Fatalf("batch-size histogram %v, want one batch of 1", st.BatchSizes)
+	if st := b.Metrics().Snapshot(0); st.Batches != 1 || st.BatchSizes["1"] != 1 {
+		t.Fatalf("%d batches, batch-size histogram %v, want one batch of 1", st.Batches, st.BatchSizes)
 	}
 }
 
@@ -78,7 +165,7 @@ func TestBatcherBackpressure(t *testing.T) {
 		return echoInfer(rows)
 	}
 	const depth = 4
-	b := NewBatcher(BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: depth}, blocked, nil)
+	b := NewBatcher(BatcherConfig{MaxBatch: 1, QueueDepth: depth}, blocked, nil)
 
 	results := make(chan error, depth+1)
 	submit := func() {
@@ -125,37 +212,50 @@ func waitDepth(t *testing.T, b *Batcher, want int) {
 }
 
 func TestBatcherSkipsCanceledRequests(t *testing.T) {
-	var mu sync.Mutex
-	rowsSeen := 0
-	counting := func(rows [][]float32) ([]int, crossbar.Stats, error) {
-		mu.Lock()
-		rowsSeen += len(rows)
-		mu.Unlock()
-		return echoInfer(rows)
-	}
-	b := NewBatcher(BatcherConfig{MaxBatch: 2, MaxDelay: 50 * time.Millisecond}, counting, nil)
+	g := newGate()
+	b := NewBatcher(BatcherConfig{MaxBatch: 2}, g.wrap(echoInfer), nil)
 	defer b.Close()
 
+	errBlocker := make(chan error, 1)
+	go func() {
+		_, err := b.Submit(context.Background(), []float32{1})
+		errBlocker <- err
+	}()
+	<-g.entered // the blocker's batch holds the dispatcher inside infer
+
+	// A and B queue behind it, so they form the next batch together.
 	ctxA, cancelA := context.WithCancel(context.Background())
 	errA := make(chan error, 1)
 	go func() {
-		_, err := b.Submit(ctxA, []float32{1})
+		_, err := b.Submit(ctxA, []float32{2})
 		errA <- err
 	}()
-	time.Sleep(2 * time.Millisecond) // let A reach the dispatcher
-	cancelA()
-	pred, err := b.Submit(context.Background(), []float32{7})
-	if err != nil || pred != 7 {
-		t.Fatalf("live request got (%d, %v)", pred, err)
+	waitDepth(t, b, 1)
+	type outcome struct {
+		pred int
+		err  error
 	}
+	resB := make(chan outcome, 1)
+	go func() {
+		pred, err := b.Submit(context.Background(), []float32{7})
+		resB <- outcome{pred, err}
+	}()
+	waitDepth(t, b, 2)
+	cancelA()
 	if err := <-errA; !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled request returned %v", err)
 	}
-	mu.Lock()
-	seen := rowsSeen
-	mu.Unlock()
-	if seen != 1 {
-		t.Fatalf("backend evaluated %d rows, want 1 — canceled work was not shed", seen)
+	close(g.open)
+	if err := <-errBlocker; err != nil {
+		t.Fatalf("blocker request: %v", err)
+	}
+	if r := <-resB; r.err != nil || r.pred != 7 {
+		t.Fatalf("live request got (%d, %v)", r.pred, r.err)
+	}
+	// The blocker ran alone; the [A, B] batch reached the backend with A
+	// shed, so B was the only row evaluated.
+	if got := g.batchSizes(); fmt.Sprint(got) != "[1 1]" {
+		t.Fatalf("backend batch sizes %v, want [1 1] — canceled work was not shed", got)
 	}
 	if st := b.Metrics().Snapshot(0); st.Canceled != 1 {
 		t.Fatalf("canceled = %d, want 1", st.Canceled)
@@ -167,7 +267,7 @@ func TestBatcherPropagatesBackendError(t *testing.T) {
 	failing := func(rows [][]float32) ([]int, crossbar.Stats, error) {
 		return nil, crossbar.Stats{}, boom
 	}
-	b := NewBatcher(BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond}, failing, nil)
+	b := NewBatcher(BatcherConfig{MaxBatch: 4}, failing, nil)
 	defer b.Close()
 	if _, err := b.Submit(context.Background(), []float32{1}); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the backend error", err)
@@ -185,7 +285,7 @@ func TestBatcherCloseDrainsAdmittedRefusesNew(t *testing.T) {
 		<-release
 		return echoInfer(rows)
 	}
-	b := NewBatcher(BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 8}, blocked, nil)
+	b := NewBatcher(BatcherConfig{MaxBatch: 1, QueueDepth: 8}, blocked, nil)
 
 	const admitted = 3
 	results := make(chan error, admitted)
@@ -247,7 +347,7 @@ func TestBatcherCloseDrainsAdmittedRefusesNew(t *testing.T) {
 }
 
 func ExampleBatcher() {
-	b := NewBatcher(BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond}, echoInfer, nil)
+	b := NewBatcher(BatcherConfig{MaxBatch: 4}, echoInfer, nil)
 	defer b.Close()
 	pred, _ := b.Submit(context.Background(), []float32{3})
 	fmt.Println(pred)

@@ -17,10 +17,10 @@ import (
 //   - clients (or the router's caller) set it to their end-to-end budget;
 //   - the router divides the remaining budget across its ring-walk attempts
 //     and stamps each backend request with that attempt's share;
-//   - serve admission refuses (503) any request whose remaining budget
-//     cannot cover even the lane's batch-formation floor or its estimated
-//     queue wait — the substrate never spends cycles on an answer nobody
-//     will be there to read;
+//   - serve admission refuses (503) any request whose remaining budget is
+//     already spent or cannot cover the lane's estimated queue wait — the
+//     substrate never spends cycles on an answer nobody will be there to
+//     read;
 //   - once admitted, the budget becomes the request context's deadline, so
 //     an overrun cancels mid-batch delivery exactly like a client timeout.
 const DeadlineHeader = "X-Rapidnn-Deadline-Ms"
@@ -64,20 +64,15 @@ type deadlineVerdict struct {
 // request can plausibly be answered in time.
 //
 //   - budget <= 0: the deadline passed before admission;
-//   - budget < maxDelay: the micro-batcher may hold a lone request up to
-//     MaxDelay waiting for company, so a budget below the formation floor
-//     loses even on an idle lane;
 //   - queued work: with a primed drain-rate estimate, depth/rate is the
 //     expected queue wait; a budget below it would expire in the queue.
 //
 // Rejecting at admission turns a guaranteed 504-after-work into an
 // immediate, costless 503 the client can retry elsewhere.
-func checkDeadline(budget, maxDelay time.Duration, depth int, drainPerSec float64) deadlineVerdict {
+func checkDeadline(budget time.Duration, depth int, drainPerSec float64) deadlineVerdict {
 	switch {
 	case budget <= 0:
 		return deadlineVerdict{reject: true, reason: "expired"}
-	case budget < maxDelay:
-		return deadlineVerdict{reject: true, reason: "under_batch_floor"}
 	case depth > 0 && drainPerSec > 0:
 		wait := time.Duration(float64(depth) / drainPerSec * float64(time.Second))
 		if wait > budget {

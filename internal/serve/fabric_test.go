@@ -98,7 +98,7 @@ func TestQueueFullShedsWithBoundedRetryAfter(t *testing.T) {
 	if err := reg.Add(syntheticModel(t, false)); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 2}})
+	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 1, QueueDepth: 2}})
 	defer s.Close()
 	// Pre-create the lane with a slow backend so the queue demonstrably
 	// fills; the test lives in package serve exactly for this.
@@ -109,7 +109,7 @@ func TestQueueFullShedsWithBoundedRetryAfter(t *testing.T) {
 	met := NewMetricsIn(s.obs, "tiny/software")
 	s.mu.Lock()
 	s.lanes["tiny/software"] = &lane{
-		b:   NewBatcher(BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 2}, slow, met),
+		b:   NewBatcher(BatcherConfig{MaxBatch: 1, QueueDepth: 2}, slow, met),
 		met: met,
 	}
 	s.mu.Unlock()
@@ -155,7 +155,7 @@ func TestTenantQuotaShedsOnlyOffender(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewServer(reg, Config{
-		Batcher:    BatcherConfig{MaxBatch: 16, MaxDelay: time.Millisecond, QueueDepth: 256},
+		Batcher:    BatcherConfig{MaxBatch: 16, QueueDepth: 256},
 		TenantRate: 1, TenantBurst: 3,
 	})
 	defer s.Close()
@@ -230,7 +230,7 @@ func TestTenantQuotaIsolatesLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewServer(reg, Config{
-		Batcher:    BatcherConfig{MaxBatch: 16, MaxDelay: time.Millisecond, QueueDepth: 256},
+		Batcher:    BatcherConfig{MaxBatch: 16, QueueDepth: 256},
 		TenantRate: 20, TenantBurst: 10,
 	})
 	defer s.Close()
@@ -320,7 +320,7 @@ func TestVersionInfoAndHotSwap(t *testing.T) {
 	if err := reg.Add(m); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond}})
+	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 4}})
 	defer s.Close()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -427,7 +427,7 @@ func TestReplicaCommonLabel(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewServer(reg, Config{
-		Batcher: BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond},
+		Batcher: BatcherConfig{MaxBatch: 4},
 		Replica: "replica-7",
 	})
 	defer s.Close()

@@ -105,7 +105,7 @@ func TestServerShedsDegradedModelAndScrubRestores(t *testing.T) {
 	if err := reg.Add(sick); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond}})
+	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 4}})
 	defer s.Close()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -206,7 +206,7 @@ func TestCanaryLoopCatchesCorruptArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewServer(reg, Config{
-		Batcher:        BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond},
+		Batcher:        BatcherConfig{MaxBatch: 4},
 		CanaryInterval: 10 * time.Millisecond,
 	})
 	defer s.Close()
@@ -265,7 +265,7 @@ func TestScrubPicksUpNewArtifactWidthAndRemapsFlat(t *testing.T) {
 	if err := reg.Add(m); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond}})
+	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 4}})
 	defer s.Close()
 	ts := httptest.NewServer(s)
 	defer ts.Close()

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"testing"
-	"time"
 )
 
 // BenchmarkServeRoundTrip measures one closed-loop request through the
@@ -19,7 +18,6 @@ func BenchmarkServeRoundTrip(b *testing.B) {
 	}
 	bt := NewBatcher(BatcherConfig{
 		MaxBatch:   8,
-		MaxDelay:   time.Millisecond,
 		QueueDepth: 64,
 	}, infer, nil)
 	defer bt.Close()

@@ -28,7 +28,7 @@ func TestBatcherRecoversFromBackendPanic(t *testing.T) {
 		}
 		return echoInfer(rows)
 	}
-	b := NewBatcher(BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond}, infer, nil)
+	b := NewBatcher(BatcherConfig{MaxBatch: 1}, infer, nil)
 
 	if _, err := b.Submit(context.Background(), []float32{1}); !errors.Is(err, ErrBackend) {
 		t.Fatalf("panicking batch returned %v, want ErrBackend", err)
@@ -59,7 +59,7 @@ func TestBatcherRejectsWrongLengthPredictions(t *testing.T) {
 	short := func(rows [][]float32) ([]int, crossbar.Stats, error) {
 		return make([]int, len(rows)-1), crossbar.Stats{}, nil
 	}
-	b := NewBatcher(BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond}, short, nil)
+	b := NewBatcher(BatcherConfig{MaxBatch: 4}, short, nil)
 	defer b.Close()
 
 	const n = 4
@@ -93,7 +93,7 @@ func TestBatcherCountsCancelDuringInference(t *testing.T) {
 		<-release
 		return echoInfer(rows)
 	}
-	b := NewBatcher(BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond}, slow, nil)
+	b := NewBatcher(BatcherConfig{MaxBatch: 1}, slow, nil)
 	defer b.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -133,7 +133,7 @@ func TestServerMapsBackendFailureTo500(t *testing.T) {
 	m := syntheticModel(t, false)
 	reg := NewRegistry()
 	reg.Add(m)
-	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond}})
+	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 1}})
 	defer s.Close()
 
 	// Reach into the lane and swap its backend for a panicking one: the
@@ -172,7 +172,7 @@ func TestServerMetricsEndpoint(t *testing.T) {
 	m := syntheticModel(t, false)
 	reg := NewRegistry()
 	reg.Add(m)
-	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond}})
+	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 4}})
 	defer s.Close()
 	ts := httptest.NewServer(s)
 	defer ts.Close()
@@ -217,7 +217,7 @@ func TestServerTracesBatches(t *testing.T) {
 	reg.Add(m)
 	tr := obs.NewTracer(64)
 	s := NewServer(reg, Config{
-		Batcher: BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond},
+		Batcher: BatcherConfig{MaxBatch: 4},
 		Trace:   tr,
 	})
 	ts := httptest.NewServer(s)

@@ -88,11 +88,6 @@ type Server struct {
 	// disabled); tenantSheds/tenantAdmits are registered lazily per tenant.
 	tenants *quota.Set
 
-	// batchFloor is the defaulted batcher MaxDelay: the time a lone admitted
-	// row may wait for batch formation, and therefore the smallest deadline
-	// budget admission will accept.
-	batchFloor time.Duration
-
 	mu     sync.Mutex
 	lanes  map[string]*lane
 	closed bool
@@ -116,7 +111,6 @@ func NewServer(reg *Registry, cfg Config) *Server {
 	if cfg.Replica != "" {
 		s.obs.SetCommonLabels(obs.L("replica", cfg.Replica))
 	}
-	s.batchFloor = cfg.Batcher.withDefaults().MaxDelay
 	if cfg.TenantRate > 0 {
 		burst := float64(cfg.TenantBurst)
 		if burst <= 0 {
@@ -415,11 +409,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	if hasBudget {
 		// Admission control on the propagated deadline: a request whose
-		// remaining budget cannot cover the batch-formation floor or the
-		// lane's expected queue wait is refused up front — a costless 503 the
-		// caller can spend elsewhere instead of a 504 after wasted work.
+		// remaining budget is spent or cannot cover the lane's expected queue
+		// wait is refused up front — a costless 503 the caller can spend
+		// elsewhere instead of a 504 after wasted work.
 		depth, drain := ln.b.Depth(), ln.met.DrainRate(time.Now())
-		if v := checkDeadline(budget, s.batchFloor, depth, drain); v.reject {
+		if v := checkDeadline(budget, depth, drain); v.reject {
 			s.deadlineOutcome(v.reason)
 			w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds(depth, drain)))
 			writeError(w, http.StatusServiceUnavailable,

@@ -105,18 +105,29 @@ func TestServeConcurrentClientsBitIdenticalToSerialInfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := NewServer(reg, Config{Batcher: BatcherConfig{
-		MaxBatch: 8, MaxDelay: 20 * time.Millisecond, QueueDepth: clients * 2,
+		MaxBatch: 8, QueueDepth: clients * 2,
 	}})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	defer s.Close()
 
+	// Hold client 0's batch inside the backend until the other clients have
+	// queued behind it, so the lane's batches are known exactly. The gate
+	// wraps the lane batcher's infer before any request exists; the
+	// dispatcher reads it only after a request reaches the queue.
+	ln, err := s.laneFor(m, PathHardware)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newGate()
+	ln.b.infer = g.wrap(ln.b.infer)
+
 	got := make([]int, clients)
 	var wg sync.WaitGroup
 	errCh := make(chan error, clients)
-	for i := 0; i < clients; i++ {
+	client := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			resp, payload := postPredictSafe(ts.URL, predictRequest{Path: "hardware", Inputs: [][]float32{rows[i]}})
 			if resp == nil {
@@ -129,8 +140,15 @@ func TestServeConcurrentClientsBitIdenticalToSerialInfer(t *testing.T) {
 			}
 			preds := payload["predictions"].([]any)
 			got[i] = int(preds[0].(float64))
-		}(i)
+		}()
 	}
+	client(0)
+	<-g.entered
+	for i := 1; i < clients; i++ {
+		client(i)
+	}
+	waitDepth(t, ln.b, clients-1)
+	close(g.open)
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
@@ -143,19 +161,15 @@ func TestServeConcurrentClientsBitIdenticalToSerialInfer(t *testing.T) {
 		}
 	}
 
-	// The micro-batcher must actually have coalesced under 48 concurrent
-	// clients, and the folded substrate counters must be bit-identical to
-	// the serial run over the same rows.
-	ln, err := s.laneFor(m, PathHardware)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The micro-batcher must have coalesced the 47 queued clients into full
+	// batches of 8 and a last batch of 7, and the folded substrate counters
+	// must be bit-identical to the serial run over the same rows.
 	st := ln.met.Snapshot(0)
 	if st.Admitted != clients || st.Completed != clients {
 		t.Fatalf("admitted %d completed %d, want %d", st.Admitted, st.Completed, clients)
 	}
-	if st.Batches >= clients {
-		t.Fatalf("%d batches for %d concurrent clients — no coalescing", st.Batches, clients)
+	if want := 1 + (clients-1+7)/8; st.Batches != uint64(want) {
+		t.Fatalf("%d batches for %d concurrent clients, want %d (sizes %v)", st.Batches, clients, want, g.batchSizes())
 	}
 	sub := st.Substrate
 	if sub.NORs != serialStats.NORs || sub.Cycles != serialStats.Cycles ||
@@ -196,7 +210,7 @@ func TestServeSoftwarePathMatchesReinterpreted(t *testing.T) {
 
 	reg := NewRegistry()
 	reg.Add(m)
-	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 4, MaxDelay: time.Millisecond}})
+	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 4}})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	defer s.Close()
@@ -220,7 +234,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 	m := syntheticModel(t, false)
 	reg := NewRegistry()
 	reg.Add(m)
-	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 1, MaxDelay: time.Millisecond, QueueDepth: 8}})
+	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 1, QueueDepth: 8}})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -311,7 +325,7 @@ func TestServerValidationAndObservability(t *testing.T) {
 	m := syntheticModel(t, false) // no hardware path
 	reg := NewRegistry()
 	reg.Add(m)
-	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 2, MaxDelay: time.Millisecond}})
+	s := NewServer(reg, Config{Batcher: BatcherConfig{MaxBatch: 2}})
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	defer s.Close()
