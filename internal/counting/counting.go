@@ -7,7 +7,10 @@
 // ones rewritten as 2^k − 1, e.g. 15 = 16 − 1).
 package counting
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Pair identifies a pre-stored product: the codebook indices of its weight
 // and input operands.
@@ -74,74 +77,6 @@ func ParallelCount(pairs []Pair, w int) CountResult {
 	return res
 }
 
-// CountFlat is the allocation-free form of ParallelCount for hot-path
-// callers: the occurrence counts land in the caller's flat histogram
-// counts[wIdx·u + uIdx] (length ≥ w·u, zeroed by CountFlat before use), and
-// the cycle count of the parallel scheme — the largest per-weight bucket —
-// is returned without the cycle-accurate replay. The replay's
-// conflict-freedom invariant holds by construction (each weight buffer pops
-// exactly one pending input per cycle, and pairs from distinct buffers
-// differ in W), so the flat histogram is exactly ParallelCount's Counts;
-// TestCountFlatMatchesParallelCount pins the equivalence. It panics on an
-// index outside [0,w)×[0,u) and on mismatched operand slices.
-func CountFlat(weightIdx, inputIdx []int, w, u int, counts []int) (cycles int) {
-	if len(weightIdx) != len(inputIdx) {
-		panic(fmt.Sprintf("counting: %d weights vs %d inputs", len(weightIdx), len(inputIdx)))
-	}
-	if w < 1 || u < 1 {
-		panic(fmt.Sprintf("counting: w = %d, u = %d", w, u))
-	}
-	if len(counts) < w*u {
-		panic(fmt.Sprintf("counting: histogram holds %d pairs, need %d", len(counts), w*u))
-	}
-	counts = counts[:w*u]
-	for i := range counts {
-		counts[i] = 0
-	}
-	// Cycles = the largest per-weight bucket: one pop per buffer per cycle.
-	// The bucket maxima are tracked during the increment pass — O(edges+w)
-	// instead of rescanning the full w·u histogram afterwards, which
-	// dominates for sparse layers. Codebooks are small, so the per-weight
-	// bucket sizes fit a stack array for every realistic w; a wider w falls
-	// back to the histogram rescan rather than allocating.
-	var bstack [64]int
-	var buckets []int
-	if w <= len(bstack) {
-		buckets = bstack[:w]
-	}
-	for i, wi := range weightIdx {
-		ui := inputIdx[i]
-		if wi < 0 || wi >= w {
-			panic(fmt.Sprintf("counting: weight index %d out of [0,%d)", wi, w))
-		}
-		if ui < 0 || ui >= u {
-			panic(fmt.Sprintf("counting: input index %d out of [0,%d)", ui, u))
-		}
-		counts[wi*u+ui]++
-		if buckets != nil {
-			b := buckets[wi] + 1
-			buckets[wi] = b
-			if b > cycles {
-				cycles = b
-			}
-		}
-	}
-	if buckets != nil {
-		return cycles
-	}
-	for wi := 0; wi < w; wi++ {
-		row := counts[wi*u : (wi+1)*u]
-		sum := 0
-		for _, c := range row {
-			sum += c
-		}
-		if sum > cycles {
-			cycles = sum
-		}
-	}
-	return cycles
-}
-
 // Term is one shifted addend of a count decomposition: ±(value << Shift).
 type Term struct {
 	Shift int
@@ -154,33 +89,30 @@ type Term struct {
 // runs of ones collapse (15 = 16 − 1). The returned terms are ordered from
 // least to most significant shift.
 func Decompose(c int) []Term {
-	return DecomposeAppend(c, nil)
-}
-
-// DecomposeAppend is Decompose with caller-owned storage: the terms append
-// to dst (usually a scratch slice reset to length 0), so a hot loop that
-// reuses one buffer decomposes without allocating once the buffer has grown
-// to the working-set size.
-func DecomposeAppend(c int, dst []Term) []Term {
 	if c < 0 {
 		panic(fmt.Sprintf("counting: negative count %d", c))
 	}
-	shift := 0
-	for c != 0 {
+	var terms []Term
+	for shift := 0; c != 0; shift++ {
 		if c&1 == 1 {
 			d := 2 - (c & 3) // +1 if c ≡ 1 (mod 4), −1 if c ≡ 3 (mod 4)
-			if d == 1 {
-				dst = append(dst, Term{Shift: shift})
-				c--
-			} else {
-				dst = append(dst, Term{Shift: shift, Sub: true})
-				c++
-			}
+			terms = append(terms, Term{Shift: shift, Sub: d < 0})
+			c -= d
 		}
 		c >>= 1
-		shift++
 	}
-	return dst
+	return terms
+}
+
+// Weight returns the number of terms Decompose(c) returns — the shifted
+// addends one count feeds the adder — without building them: NAF digit i of
+// c is non-zero exactly where bits i+1 of c and 3c differ, so the weight is
+// popcount(c ⊕ 3c) (bit 0 of c ⊕ 3c is always clear).
+func Weight(c int) int {
+	if c < 0 {
+		panic(fmt.Sprintf("counting: negative count %d", c))
+	}
+	return bits.OnesCount(uint(c ^ 3*c))
 }
 
 // Apply evaluates a decomposition against v, returning c·v; it is the
@@ -201,11 +133,7 @@ func Apply(terms []Term, v int64) int64 {
 // AddSubOps returns the number of add/subtract operations the decomposition
 // costs (terms − 1; a single shifted term is free of additions).
 func AddSubOps(c int) int {
-	n := len(Decompose(c))
-	if n <= 1 {
-		return 0
-	}
-	return n - 1
+	return max(Weight(c)-1, 0)
 }
 
 // BinaryOps returns the adds a plain binary decomposition would cost

@@ -1,144 +1,31 @@
 package counting
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
-// CountFlat is ParallelCount minus the cycle-accurate replay and the map:
-// on random edge streams the flat histogram must hold exactly the replay's
-// counts and the returned cycle number must equal the largest bucket.
-func TestCountFlatMatchesParallelCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 100; trial++ {
-		w, u := 1+rng.Intn(12), 1+rng.Intn(12)
-		edges := rng.Intn(300)
-		pairs := make([]Pair, edges)
-		wi := make([]int, edges)
-		ui := make([]int, edges)
-		for i := range pairs {
-			pairs[i] = Pair{W: rng.Intn(w), U: rng.Intn(u)}
-			wi[i], ui[i] = pairs[i].W, pairs[i].U
-		}
-		ref := ParallelCount(pairs, w)
-		counts := make([]int, w*u)
-		cycles := CountFlat(wi, ui, w, u, counts)
-		if cycles != ref.Cycles {
-			t.Fatalf("trial %d (w=%d,u=%d,edges=%d): cycles %d, ParallelCount says %d",
-				trial, w, u, edges, cycles, ref.Cycles)
-		}
-		for wIdx := 0; wIdx < w; wIdx++ {
-			for uIdx := 0; uIdx < u; uIdx++ {
-				if got, want := counts[wIdx*u+uIdx], ref.Counts[Pair{W: wIdx, U: uIdx}]; got != want {
-					t.Fatalf("trial %d: count(%d,%d) = %d, ParallelCount says %d", trial, wIdx, uIdx, got, want)
-				}
-			}
+// Weight is the closed form the neuron hot path prices the adder with: it
+// must count exactly the terms Decompose builds, for every count a neuron
+// can produce and well beyond.
+func TestWeightMatchesDecompose(t *testing.T) {
+	for c := 0; c < 1<<20; c++ {
+		if got, want := Weight(c), len(Decompose(c)); got != want {
+			t.Fatalf("Weight(%d) = %d, Decompose has %d terms", c, got, want)
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative count did not panic")
+		}
+	}()
+	Weight(-1)
 }
 
-// The cycle count must pin to ParallelCount.Cycles on both CountFlat paths:
-// the per-weight bucket maxima tracked during the increment pass (w ≤ 64)
-// and the histogram-rescan fallback for wider codebooks.
-func TestCountFlatCyclesBothPaths(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 60; trial++ {
-		w := 1 + rng.Intn(40)
-		if trial%2 == 1 {
-			w = 65 + rng.Intn(40) // force the w > 64 rescan fallback
-		}
-		u := 1 + rng.Intn(8)
-		edges := rng.Intn(400)
-		pairs := make([]Pair, edges)
-		wi := make([]int, edges)
-		ui := make([]int, edges)
-		for i := range pairs {
-			pairs[i] = Pair{W: rng.Intn(w), U: rng.Intn(u)}
-			wi[i], ui[i] = pairs[i].W, pairs[i].U
-		}
-		want := ParallelCount(pairs, w).Cycles
-		counts := make([]int, w*u)
-		if got := CountFlat(wi, ui, w, u, counts); got != want {
-			t.Fatalf("trial %d (w=%d,u=%d,edges=%d): cycles %d, ParallelCount says %d",
-				trial, w, u, edges, got, want)
-		}
-	}
-}
-
-// CountFlat zeroes the histogram itself — a dirty reused buffer must not
-// bleed into the counts — and validates its inputs like ParallelCount does.
-func TestCountFlatReusesDirtyBuffer(t *testing.T) {
-	counts := []int{9, 9, 9, 9, 9, 9}
-	cycles := CountFlat([]int{0, 1, 1}, []int{2, 0, 0}, 2, 3, counts)
-	want := []int{0, 0, 1, 2, 0, 0}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("counts = %v, want %v", counts, want)
-		}
-	}
-	if cycles != 2 {
-		t.Fatalf("cycles = %d, want 2 (weight 1 pops twice)", cycles)
-	}
-}
-
-func TestCountFlatValidation(t *testing.T) {
-	expectPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	buf := make([]int, 4)
-	expectPanic("mismatched operands", func() { CountFlat([]int{0}, nil, 2, 2, buf) })
-	expectPanic("short histogram", func() { CountFlat([]int{0}, []int{0}, 2, 3, buf) })
-	expectPanic("weight out of range", func() { CountFlat([]int{2}, []int{0}, 2, 2, buf) })
-	expectPanic("input out of range", func() { CountFlat([]int{0}, []int{-1}, 2, 2, buf) })
-	expectPanic("bad dims", func() { CountFlat(nil, nil, 0, 2, buf) })
-}
-
-// The hot-path forms are allocation-free: CountFlat writes only the caller's
-// histogram, and DecomposeAppend reuses the caller's term slice.
+// The neuron hot path calls Weight once per distinct product, so it must not
+// allocate — len(Decompose(c)) would, once per call.
 func TestCountingHotPathZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	const w, u, edges = 16, 16, 96
-	wi := make([]int, edges)
-	ui := make([]int, edges)
-	for i := range wi {
-		wi[i], ui[i] = rng.Intn(w), rng.Intn(u)
-	}
-	counts := make([]int, w*u)
+	n := 0
 	if allocs := testing.AllocsPerRun(200, func() {
-		CountFlat(wi, ui, w, u, counts)
+		n += Weight(1023)
 	}); allocs != 0 {
-		t.Fatalf("CountFlat allocates %v per op, want 0", allocs)
-	}
-	terms := make([]Term, 0, 16)
-	if allocs := testing.AllocsPerRun(200, func() {
-		terms = DecomposeAppend(1023, terms[:0])
-	}); allocs != 0 {
-		t.Fatalf("DecomposeAppend allocates %v per op, want 0", allocs)
-	}
-}
-
-// DecomposeAppend must produce exactly Decompose's terms for every count,
-// appended after whatever the destination already holds.
-func TestDecomposeAppendMatchesDecompose(t *testing.T) {
-	buf := []Term{{Shift: 99}}
-	for c := 0; c < 2000; c++ {
-		want := Decompose(c)
-		got := DecomposeAppend(c, buf[:1])
-		if got[0].Shift != 99 {
-			t.Fatalf("c=%d: prefix clobbered: %v", c, got)
-		}
-		if len(got)-1 != len(want) {
-			t.Fatalf("c=%d: %d terms, Decompose says %d", c, len(got)-1, len(want))
-		}
-		for i, term := range want {
-			if got[i+1] != term {
-				t.Fatalf("c=%d: term %d is %+v, Decompose says %+v", c, i, got[i+1], term)
-			}
-		}
+		t.Fatalf("Weight allocates %v per op, want 0", allocs)
 	}
 }

@@ -6,15 +6,13 @@ import (
 	"repro/internal/device"
 )
 
-// This file implements the in-memory adder of §4.1.2 as a bit-sliced
-// kernel. Carry-save 3:2 compression reduces the operand population without
-// carry propagation, and a final NOR-decomposed ripple adder resolves the two
-// survivors. Because the crossbar's NOR acts on whole 64-bit rows, one 3:2
-// compression step is three word operations (s = x⊕y⊕z, c = maj(x,y,z)≪1)
-// instead of ~18 simulated NOR row-ops, and the final ripple stage is one
-// carry-propagate word add. The NOR schedule — and therefore the Stats —
-// depends only on the operand population and width, never on the data, so
-// the kernel charges Stats from a memoized schedule table rather than gate by
+// This file implements the in-memory adder of §4.1.2. Carry-save 3:2
+// compression reduces the operand population without carry propagation, and
+// a final NOR-decomposed ripple adder resolves the two survivors. That
+// network computes the sum modulo 2^width exactly, so the kernel returns the
+// native modular sum. Its NOR schedule — and therefore the Stats — depends
+// only on the operand population and width, never on the data, so the kernel
+// charges Stats from a memoized schedule table (Price) rather than gate by
 // gate. The gate-level oracle (oracle_test.go) fires every NOR through a
 // simulated crossbar; sums and Stats are pinned bit-identical to it.
 
@@ -26,14 +24,12 @@ const compressGates = 18
 // fullAdderGates is the NOR count of one ripple-stage full adder per bit.
 const fullAdderGates = 9
 
-// AddScratch is the reusable working set of the in-memory adder: the
-// word-parallel compression buffer plus the memoized schedule-shape table
-// that prices each operand population. One scratch serves any number of
-// sequential AddMany calls without allocating once its buffers have grown to
-// the largest operand population seen; it must not be shared between
-// concurrent adders. The zero value is ready to use.
+// AddScratch is the reusable state of the in-memory adder: the memoized
+// schedule-shape table that prices each operand population. One scratch
+// serves any number of sequential Price and AddMany calls without allocating
+// once its table has grown to the largest operand population seen; it must
+// not be shared between concurrent adders. The zero value is ready to use.
 type AddScratch struct {
-	rows []uint64
 	// sched[n] caches the Stats of an n-operand addition under (schedDev,
 	// schedWidth) — the NOR schedule depends only on the operand count and
 	// width, so steady-state accumulation charges stats by lookup instead of
@@ -46,12 +42,17 @@ type AddScratch struct {
 	schedWidth int
 }
 
-// schedule returns the Stats of an n-operand, width-bit addition, replaying
-// the gate schedule once per (population, device, width) and serving every
-// later call from the cache. The replay accrues cycles and energy in exactly
-// the gate order of the gate-level walk, so cached Stats are bit-identical to
-// the simulated ones (float accumulation order included).
-func (s *AddScratch) schedule(dev *device.Params, n, width int) Stats {
+// Price returns the Stats of adding n width-bit operands on the crossbar,
+// replaying the gate schedule once per (population, device, width) and
+// serving every later call from the cache. The replay accrues cycles and
+// energy in exactly the gate order of the gate-level walk, so cached Stats
+// are bit-identical to the simulated ones (float accumulation order
+// included). dev is read, never retained; it is a pointer so the hot path
+// does not copy the device parameters on every call.
+func (s *AddScratch) Price(dev *device.Params, n, width int) Stats {
+	if width < 1 || width > 64 {
+		panic(fmt.Sprintf("crossbar: width %d out of [1,64]", width))
+	}
 	if s.schedDev != *dev || s.schedWidth != width {
 		// Device or width changed: drop every cached shape.
 		s.schedDev, s.schedWidth = *dev, width
@@ -106,59 +107,22 @@ func (s *AddScratch) schedule(dev *device.Params, n, width int) Stats {
 	return st
 }
 
-// AddMany is the bit-sliced in-memory addition: word-parallel carry-save 3:2
-// compression (three word ops per triple — the same whole-row values the NOR
-// network produces, without simulating its gates) followed by one
-// carry-propagate word add for the final stage, with the Stats charged from
-// the memoized schedule table. It returns the sum modulo 2^width; sum and
-// Stats are bit-identical to the gate-level walk, and steady state performs
-// zero allocations. dev is read, never retained; it is a pointer so the hot
-// path does not copy the device parameters on every call.
+// AddMany is the in-memory addition: the sum of values modulo 2^width, with
+// the Stats of its NOR schedule charged by Price. The carry-save network
+// keeps every intermediate row exact modulo 2^width — a 3:2 compression
+// preserves x+y+z and the ripple stage adds its two survivors — so the
+// native modular sum is bit-identical to what the gates compute, and steady
+// state performs zero allocations.
 func (s *AddScratch) AddMany(dev *device.Params, values []uint64, width int) (sum uint64, stats Stats) {
 	if len(values) == 0 {
 		return 0, Stats{}
 	}
-	if width < 1 || width > 64 {
-		panic(fmt.Sprintf("crossbar: width %d out of [1,64]", width))
+	stats = s.Price(dev, len(values), width)
+	for _, v := range values {
+		sum += v
 	}
-	stats = s.schedule(dev, len(values), width)
-	mask := ^uint64(0)
 	if width < 64 {
-		mask = (1 << width) - 1
-	}
-	if cap(s.rows) < len(values) {
-		s.rows = make([]uint64, len(values))
-	}
-	rows := s.rows[:len(values)]
-	for i, v := range values {
-		rows[i] = v & mask
-	}
-	// In-place reduction: each round rewrites the live prefix with the
-	// survivors (sum/carry pairs first, leftovers after), exactly the
-	// compaction order of the reference walk. The writer index j never
-	// overtakes the reader index i, so one buffer suffices.
-	live := len(rows)
-	for live > 2 {
-		j := 0
-		i := 0
-		for ; i+2 < live; i += 3 {
-			x, y, z := rows[i], rows[i+1], rows[i+2]
-			xy := x ^ y
-			rows[j] = xy ^ z                               // s = x⊕y⊕z
-			rows[j+1] = (((x & y) | (z & xy)) << 1) & mask // c = maj≪1
-			j += 2
-		}
-		for ; i < live; i++ {
-			rows[j] = rows[i]
-			j++
-		}
-		live = j
-	}
-	sum = rows[0]
-	if live == 2 {
-		// Carry-propagate resolution of the two survivors: native word
-		// arithmetic computes exactly what the per-bit ripple adder does.
-		sum = (rows[0] + rows[1]) & mask
+		sum &= 1<<width - 1
 	}
 	return sum, stats
 }

@@ -5,8 +5,8 @@
 // charges every NOR, write and row copy of its schedule cycles and energy
 // from the device parameter model, so the functional simulation doubles as
 // the timing/energy simulation. The gate-level crossbar that fires those
-// NORs one by one lives in the package tests, as the oracle the bit-sliced
-// adder is pinned against.
+// NORs one by one lives in the package tests, as the oracle the adder is
+// pinned against.
 package crossbar
 
 import (

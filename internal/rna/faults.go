@@ -212,15 +212,14 @@ func (r *FuncRNA) reconcileSpares() {
 	}
 }
 
-// readProduct is the fault-aware fetch of one pre-computed product. With no
+// readProduct is the fault-aware fetch of product idx = wi·nU+ui. With no
 // faults and no parity it is the direct table read. Otherwise the pristine
 // word passes through the effective stuck-cell masks (remapped words carry
 // zero masks), the per-read transient mask, and — when parity is on — the SEC-DED
 // decode, whose corrected/uncorrectable outcomes are counted. Safe for
 // concurrent use during inference.
-func (r *FuncRNA) readProduct(wi, ui int) int64 {
+func (r *FuncRNA) readProduct(idx int) int64 {
 	f := r.flt
-	idx := wi*r.nU + ui
 	if f == nil && !r.prot.Parity {
 		return r.products[idx]
 	}

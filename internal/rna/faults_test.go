@@ -197,7 +197,7 @@ func TestFuncRNAOverlayProperties(t *testing.T) {
 			if r.products[wi*r.nU+ui] != pristine[wi][ui] {
 				t.Fatalf("injection mutated the pristine table at (%d,%d)", wi, ui)
 			}
-			if got := r.readProduct(wi, ui); got != pristine[wi][ui] {
+			if got := r.readProduct(wi*r.nU + ui); got != pristine[wi][ui] {
 				t.Fatalf("word (%d,%d) not repaired by an all-covering spare budget: %d vs %d",
 					wi, ui, got, pristine[wi][ui])
 			}
@@ -209,7 +209,7 @@ func TestFuncRNAOverlayProperties(t *testing.T) {
 	corrupted := false
 	for wi := range pristine {
 		for ui := range pristine[wi] {
-			a, b := r.readProduct(wi, ui), r.readProduct(wi, ui)
+			a, b := r.readProduct(wi*r.nU+ui), r.readProduct(wi*r.nU+ui)
 			if a != b {
 				t.Fatalf("stuck read not idempotent at (%d,%d): %d then %d", wi, ui, a, b)
 			}
@@ -225,7 +225,7 @@ func TestFuncRNAOverlayProperties(t *testing.T) {
 	r.ClearFaults()
 	for wi := range pristine {
 		for ui := range pristine[wi] {
-			if got := r.readProduct(wi, ui); got != pristine[wi][ui] {
+			if got := r.readProduct(wi*r.nU + ui); got != pristine[wi][ui] {
 				t.Fatalf("ClearFaults did not restore (%d,%d)", wi, ui)
 			}
 		}

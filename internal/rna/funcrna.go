@@ -2,7 +2,6 @@ package rna
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/composer"
 	"repro/internal/counting"
@@ -106,52 +105,52 @@ func NewFuncRNAShared(dev *device.Params, wcb, ucb []float32,
 // in-memory addition (§4.1.2) — returning the real-valued pre-activation and
 // the crossbar activity of this evaluation. weightIdx[i] and inputIdx[i] are
 // the codebook indices of edge i; bias is the neuron's fixed-point bias
-// (toFixed at composer.FlatProductFracBits). The counting histogram, the
-// shift-add terms, the adder operands and the adder's rows all live in s, so
-// steady state allocates nothing. The block itself is read-only here: any
-// number of goroutines may evaluate it, each with its own Scratch. The sum
-// and the Stats depend only on the addend population, and the flat histogram
-// walks products in deterministic (w,u) order, which the addition is
-// insensitive to.
+// (toFixed at composer.FlatProductFracBits). One pass counts the edges and
+// one over the (w,u) slots they hit reads each distinct product once, so the
+// cost follows the edge count. Count c's shift-add terms sum to c·product
+// and the adder is exact modulo 2^sumWidth, so the sum is accumulated
+// natively and the adder's Stats are priced from its operand count —
+// bit-identical to expanding the terms and adding them (accumulateOracle in
+// the tests). The histogram, all-zero between calls, lives in s, so steady
+// state allocates nothing. The block itself is read-only here: any number of
+// goroutines may evaluate it, each with its own Scratch.
 func (r *FuncRNA) AccumulateBiasScratch(weightIdx, inputIdx []int, bias int64, s *Scratch) (float64, crossbar.Stats) {
 	if len(weightIdx) != len(inputIdx) {
 		panic(fmt.Sprintf("rna: %d weights vs %d inputs", len(weightIdx), len(inputIdx)))
 	}
-	// 1. Parallel counting of product occurrences (§4.1.1) into the flat
-	// (w·u) histogram.
-	if need := r.nW * r.nU; cap(s.counts) < need {
-		s.counts = make([]int, need)
+	nW, nU := r.nW, r.nU
+	if len(s.counts) < nW*nU {
+		s.counts = make([]int, nW*nU)
 	}
-	counts := s.counts[:r.nW*r.nU]
-	counting.CountFlat(weightIdx, inputIdx, r.nW, r.nU, counts)
-
-	// 2. Shift-add expansion of each counted product into tree addends.
-	addends := s.addends[:0]
-	terms := s.terms[:0]
-	for wi := 0; wi < r.nW; wi++ {
-		row := counts[wi*r.nU : (wi+1)*r.nU]
-		for ui, c := range row {
-			if c == 0 {
-				continue
-			}
-			prod := r.readProduct(wi, ui)
-			terms = counting.DecomposeAppend(c, terms[:0])
-			for _, t := range terms {
-				v := prod << t.Shift
-				if t.Sub {
-					v = -v
-				}
-				addends = append(addends, uint64(v)&math.MaxUint32)
-			}
+	// 1. Parallel counting of product occurrences (§4.1.1), listing each slot
+	// the first time an edge hits it.
+	counts, touched := s.counts, s.touched[:0]
+	for i, wi := range weightIdx {
+		ui := inputIdx[i]
+		if uint(wi) >= uint(nW) || uint(ui) >= uint(nU) {
+			clear(counts) // all-zero again for the scratch's next call
+			panic(fmt.Sprintf("rna: edge %d indexes product (%d,%d) outside the %d×%d table", i, wi, ui, nW, nU))
 		}
+		idx := wi*nU + ui
+		if counts[idx] == 0 {
+			touched = append(touched, idx)
+		}
+		counts[idx]++
 	}
-	addends = append(addends, uint64(bias)&math.MaxUint32)
-	s.addends, s.terms = addends, terms
+	s.touched = touched
 
-	// 3. NOR-decomposed in-memory addition (§4.1.2).
-	raw, stats := s.add.AddMany(r.dev, addends, sumWidth)
-	sum := int64(int32(uint32(raw)))
-	return fromFixed(sum, composer.FlatProductFracBits), stats
+	// 2–3. Shift-add expansion and NOR addition (§4.1.2): each count c of
+	// product p contributes c·p to the sum and Weight(c) terms to the adder.
+	var sum uint32
+	operands := 1 // the bias
+	for _, idx := range touched {
+		c := counts[idx]
+		counts[idx] = 0
+		sum += uint32(c) * uint32(r.readProduct(idx))
+		operands += counting.Weight(c)
+	}
+	return fromFixed(int64(int32(sum+uint32(bias))), composer.FlatProductFracBits),
+		s.add.Price(r.dev, operands, sumWidth)
 }
 
 // activate applies the activation stage: an NDCAM table search, or the ReLU

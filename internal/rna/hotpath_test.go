@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/composer"
+	"repro/internal/counting"
 	"repro/internal/crossbar"
+	"repro/internal/fault"
 	"repro/internal/ndcam"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -18,6 +20,138 @@ import (
 func fire(r *FuncRNA, wi, ui []int, bias int64, s *Scratch) (int, crossbar.Stats) {
 	pre, st := r.AccumulateBiasScratch(wi, ui, bias, s)
 	return r.encodeValue(r.activate(pre, s), s), st
+}
+
+// accumulateOracle is the neuron accumulation spelled out stage by stage, the
+// pipeline AccumulateBiasScratch fuses: ParallelCount counts the (w,u) pairs
+// (§4.1.1); each counted pair, in (w,u) order, is read once and expanded by
+// Decompose into its shifted 32-bit addends; the bias joins them and the
+// crossbar adder sums the lot (§4.1.2).
+func accumulateOracle(r *FuncRNA, wi, ui []int, bias int64) (float64, crossbar.Stats) {
+	pairs := make([]counting.Pair, len(wi))
+	for i := range wi {
+		pairs[i] = counting.Pair{W: wi[i], U: ui[i]}
+	}
+	counts := counting.ParallelCount(pairs, r.nW).Counts
+	var addends []uint64
+	for w := 0; w < r.nW; w++ {
+		for u := 0; u < r.nU; u++ {
+			c := counts[counting.Pair{W: w, U: u}]
+			if c == 0 {
+				continue
+			}
+			prod := r.readProduct(w*r.nU + u)
+			for _, t := range counting.Decompose(c) {
+				v := prod << t.Shift
+				if t.Sub {
+					v = -v
+				}
+				addends = append(addends, uint64(v)&math.MaxUint32)
+			}
+		}
+	}
+	addends = append(addends, uint64(bias)&math.MaxUint32)
+	var add crossbar.AddScratch
+	raw, st := add.AddMany(r.dev, addends, sumWidth)
+	return fromFixed(int64(int32(uint32(raw))), composer.FlatProductFracBits), st
+}
+
+// randomNeuron draws a block with nW×nU random codebooks (ReLU comparator,
+// so no activation CAM) and a neuron of the given edge count over it.
+func randomNeuron(rng *rand.Rand, nW, nU, edges int) (*FuncRNA, []int, []int) {
+	wcb := randomCodebook(rng, nW, 4)
+	ucb := randomCodebook(rng, nU, 8)
+	r := NewFuncRNAShared(devPtr(), wcb, ucb, nil, true, []float32{-1, 0, 1}, productTable(wcb, ucb))
+	wi, ui := make([]int, edges), make([]int, edges)
+	for i := range wi {
+		wi[i], ui[i] = rng.Intn(nW), rng.Intn(nU)
+	}
+	return r, wi, ui
+}
+
+// The fused accumulation must equal the staged pipeline exactly — the
+// pre-activation and every Stats field, EnergyJ compared with == — over
+// random neurons of 0–2048 edges on codebooks from 1×1 to 64×64 plus wider
+// weight codebooks, with signed biases, one Scratch reused throughout. Under
+// seeded stuck-at faults with parity and spare rows, the fused path on one
+// block and the oracle on a twin block drawn from the same seed must also
+// leave equal fault counters: each distinct product is read exactly once.
+func TestAccumulateMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	s := NewScratch()
+	dims := func(trial int) (int, int) {
+		if trial%10 == 9 {
+			return 65 + rng.Intn(40), 1 + rng.Intn(8) // weight codebook wider than 64
+		}
+		return 1 + rng.Intn(64), 1 + rng.Intn(64)
+	}
+	bias := func() int64 { return rng.Int63n(1<<34) - 1<<33 }
+	for trial := 0; trial < 200; trial++ {
+		nW, nU := dims(trial)
+		r, wi, ui := randomNeuron(rng, nW, nU, rng.Intn(2049))
+		b := bias()
+		pre, st := r.AccumulateBiasScratch(wi, ui, b, s)
+		wantPre, wantSt := accumulateOracle(r, wi, ui, b)
+		if pre != wantPre || st != wantSt {
+			t.Fatalf("trial %d (%d×%d, %d edges): fused %v %+v, oracle %v %+v",
+				trial, nW, nU, len(wi), pre, st, wantPre, wantSt)
+		}
+	}
+
+	prot := fault.Protection{Parity: true, SpareRows: 4}
+	var corrected, uncorrectable int64
+	for trial := 0; trial < 60; trial++ {
+		nW, nU := dims(trial)
+		seed := rng.Int63()
+		r, wi, ui := randomNeuron(rand.New(rand.NewSource(seed)), nW, nU, rng.Intn(2049))
+		twin, _, _ := randomNeuron(rand.New(rand.NewSource(seed)), nW, nU, 0)
+		var cnt, twinCnt fault.Counters
+		cfg := fault.Config{StuckRate: 0.05}
+		r.SetProtection(prot, &cnt)
+		twin.SetProtection(prot, &twinCnt)
+		r.injectFaults(cfg, rand.New(rand.NewSource(seed)), &cnt)
+		twin.injectFaults(cfg, rand.New(rand.NewSource(seed)), &twinCnt)
+		b := bias()
+		pre, st := r.AccumulateBiasScratch(wi, ui, b, s)
+		wantPre, wantSt := accumulateOracle(twin, wi, ui, b)
+		if pre != wantPre || st != wantSt {
+			t.Fatalf("faulty trial %d (%d×%d, %d edges): fused %v %+v, oracle %v %+v",
+				trial, nW, nU, len(wi), pre, st, wantPre, wantSt)
+		}
+		if got, want := cnt.Snapshot(), twinCnt.Snapshot(); got != want {
+			t.Fatalf("faulty trial %d (%d×%d, %d edges): fused counters %+v, oracle %+v",
+				trial, nW, nU, len(wi), got, want)
+		}
+		corrected += cnt.Corrected.Load()
+		uncorrectable += cnt.Uncorrectable.Load()
+	}
+	if corrected == 0 || uncorrectable == 0 {
+		t.Fatalf("fault draws too mild to test reads: %d corrected, %d uncorrectable", corrected, uncorrectable)
+	}
+}
+
+// An out-of-range edge panics, and the panic leaves the Scratch clean: the
+// slots counted before the bad edge are cleared, so the reused scratch's
+// next answer equals a fresh scratch's.
+func TestAccumulatePanicLeavesScratchClean(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	r, wi, ui := randomNeuron(rng, 16, 16, 96)
+	s := NewScratch()
+	for _, bad := range [][2]int{{16, 0}, {0, 16}, {-1, 3}, {3, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("edge %v on a 16×16 table did not panic", bad)
+				}
+			}()
+			r.AccumulateBiasScratch(append(wi[:40:40], bad[0]), append(ui[:40:40], bad[1]), 0, s)
+		}()
+		pre, st := r.AccumulateBiasScratch(wi, ui, 5, s)
+		wantPre, wantSt := r.AccumulateBiasScratch(wi, ui, 5, NewScratch())
+		if pre != wantPre || st != wantSt {
+			t.Fatalf("after the %v panic: reused scratch %v %+v, fresh %v %+v", bad, pre, st, wantPre, wantSt)
+		}
+	}
 }
 
 // maxPoolOracle runs one max-pooling window the way the hardware does it

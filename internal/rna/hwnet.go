@@ -21,17 +21,17 @@ import (
 
 // HardwareNetwork executes a composed model end-to-end through functional
 // RNA blocks: every neuron's weighted accumulation runs as parallel counting
-// plus gate-level NOR addition, every activation and encoding as an NDCAM
-// search. It is the hardware-in-the-loop validation of the whole RAPIDNN
-// stack — the software reinterpreted model predicts its behaviour, and tests
-// assert the two agree.
+// plus NOR addition, every activation and encoding as an NDCAM search. It
+// is the hardware-in-the-loop validation of the whole RAPIDNN stack — the
+// software reinterpreted model predicts its behaviour, and tests assert the
+// two agree.
 //
-// It is deliberately built for fidelity, not speed: classifying one CIFAR
-// image simulates hundreds of thousands of NOR cycles. Use small models —
-// or batch them: the per-input evaluation is re-entrant (every FuncRNA is
-// read-only during inference), so InferBatchStats fans the batch out across
-// cores while keeping predictions and Stats totals bit-identical to the
-// serial path.
+// Its Stats charge every NOR the substrate would fire — hundreds of
+// thousands of cycles per CIFAR image — but the CPU does not walk them: the
+// adder is priced from its operand count, and a neuron's work follows its
+// edges. The per-input evaluation is re-entrant (every FuncRNA is read-only
+// during inference), so InferBatchStats fans a batch out across cores while
+// keeping predictions and Stats totals bit-identical to the serial path.
 type HardwareNetwork struct {
 	dev    device.Params
 	layers []*hwLayer

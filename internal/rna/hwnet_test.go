@@ -308,7 +308,9 @@ func TestInferBatchMatchesSerialInfer(t *testing.T) {
 }
 
 // BenchmarkHardwareInferBatch measures the hardware-in-the-loop batch at
-// 1, 2 and GOMAXPROCS workers (each count once). The wall time should fall
+// 1, 2 and GOMAXPROCS workers (each count once), on a dense net (the
+// workers=N rungs) and on a conv + max-pool + dense net (conv/workers=N),
+// whose conv neurons own most of a hardware run. The wall time should fall
 // as workers rise toward GOMAXPROCS while TestInferBatchMatchesSerialInfer
 // pins the results.
 func BenchmarkHardwareInferBatch(b *testing.B) {
@@ -329,19 +331,49 @@ func BenchmarkHardwareInferBatch(b *testing.B) {
 	}
 	const n = 48
 	batch := tensor.FromSlice(ds.TestX.Data()[:n*ds.InSize()], n, ds.InSize())
+
+	// The conv rung: 3×16×16 inputs through a 3×3 conv of 8 channels
+	// (27 edges per neuron), 2×2 max pooling and a dense logit layer, on
+	// synthetic 16×16 codebooks.
+	g := tensor.ConvGeom{InC: 3, InH: 16, InW: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	conv := nn.NewConv2D("cv", g, 8, nn.ReLU{}, rng)
+	pc, ph, pw := conv.OutGeom()
+	pool := nn.NewPool2D("pl", nn.MaxPool, tensor.ConvGeom{InC: pc, InH: ph, InW: pw, KH: 2, KW: 2, Stride: 2})
+	qc, qh, qw := pool.OutGeom()
+	cnet := nn.NewNetwork("convbench").Add(conv).Add(pool).Add(nn.NewDense("out", qc*qh*qw, 10, nn.Identity{}, rng))
+	chw, err := BuildHardwareNetwork(cnet, composer.SyntheticPlans(cnet, 16, 16, 16), dev())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const cn = 16
+	cx := make([]float32, cn*chw.InSize())
+	for i := range cx {
+		cx[i] = 2*rng.Float32() - 1
+	}
+	cbatch := tensor.FromSlice(cx, cn, chw.InSize())
+
 	counts := []int{1, 2}
 	if p := runtime.GOMAXPROCS(0); p > 2 {
 		counts = append(counts, p)
 	}
-	for _, workers := range counts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			hw.Workers = workers
+	rung := func(name string, hw *HardwareNetwork, batch *tensor.Tensor, rows int) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := hw.InferBatchStats(batch); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(b.N*rows)/b.Elapsed().Seconds(), "rows/s")
 		})
+	}
+	for _, workers := range counts {
+		hw.Workers = workers
+		rung(fmt.Sprintf("workers=%d", workers), hw, batch, n)
+	}
+	for _, workers := range counts {
+		chw.Workers = workers
+		rung(fmt.Sprintf("conv/workers=%d", workers), chw, cbatch, cn)
 	}
 }
 

@@ -3,14 +3,13 @@ package rna
 import (
 	"sync"
 
-	"repro/internal/counting"
 	"repro/internal/crossbar"
 )
 
 // Scratch is the per-worker working set of the hot inference path. Every
 // buffer the pipeline needs between two neuron fires — the counting
-// histogram, the shift-add term and addend lists, the in-memory adder's row
-// storage and schedule table, the batch-scoped CAM lookup cache, and the
+// histogram and its list of touched slots, the avg-pool adder operands, the
+// in-memory adder's schedule table, the batch-scoped CAM lookup cache, and the
 // per-input activation buffers of the network executor — lives here, so a
 // worker that owns one Scratch evaluates neurons and whole inputs without
 // allocating in steady state.
@@ -22,9 +21,9 @@ import (
 // from any number of goroutines.
 type Scratch struct {
 	// Neuron-fire pipeline.
-	counts  []int           // flat (w·u) counting histogram
-	terms   []counting.Term // shift-add decomposition of one count
-	addends []uint64        // adder operands of one accumulation
+	counts  []int    // flat (w·u) counting histogram, all zero between calls
+	touched []int    // histogram slots one accumulation made non-zero
+	addends []uint64 // adder operands of one avg-pool window
 	add     crossbar.AddScratch
 
 	// Batch-scoped CAM lookup cache (camcache.go): activation and encoder

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/crossbar"
@@ -45,7 +46,9 @@ var (
 // admission order; it returns one prediction per row and the substrate
 // activity the batch accrued (zero for the software path). The batcher
 // calls it from a single dispatcher goroutine, so implementations need not
-// be re-entrant.
+// be re-entrant. rows and its row slices are valid only for the call: the
+// batcher reuses the outer slice for its next batch, and a row belongs to
+// its request, so an implementation that keeps either must copy it.
 type InferFn func(rows [][]float32) ([]int, crossbar.Stats, error)
 
 // BatcherConfig sizes the micro-batcher.
@@ -103,6 +106,15 @@ type Batcher struct {
 	met   *Metrics
 
 	queue chan *request
+	// batch, live and rows are the dispatcher's per-batch working slices,
+	// reused from batch to batch. Only the dispatcher goroutine touches
+	// them, and it clears them after each batch so no finished request
+	// stays reachable.
+	batch, live []*request
+	rows        [][]float32
+	// executing is the row count of the batch inside InferFn, 0 between
+	// batches.
+	executing atomic.Int64
 
 	mu      sync.RWMutex // guards closed against concurrent queue sends
 	closed  bool
@@ -132,6 +144,10 @@ func (b *Batcher) Metrics() *Metrics { return b.met }
 
 // Depth reports the current admission-queue occupancy.
 func (b *Batcher) Depth() int { return len(b.queue) }
+
+// Executing reports how many rows the batch now inside InferFn holds: work
+// already dequeued that a newly admitted row still waits behind.
+func (b *Batcher) Executing() int { return int(b.executing.Load()) }
 
 // Submit enqueues one row and blocks until its prediction arrives, ctx is
 // done, or shutdown begins. A full queue fails fast with ErrQueueFull.
@@ -184,7 +200,7 @@ func (b *Batcher) run() {
 		if !ok {
 			return // closed and fully drained
 		}
-		batch := []*request{first}
+		batch := append(b.batch[:0], first)
 	collect:
 		for len(batch) < b.cfg.MaxBatch {
 			select {
@@ -197,7 +213,11 @@ func (b *Batcher) run() {
 				break collect // nothing else queued: dispatch without waiting
 			}
 		}
+		b.batch = batch
 		b.dispatch(batch)
+		clear(b.batch)
+		clear(b.live)
+		clear(b.rows)
 	}
 }
 
@@ -205,7 +225,7 @@ func (b *Batcher) run() {
 // whose context is already done are answered without spending substrate
 // work on them.
 func (b *Batcher) dispatch(batch []*request) {
-	live := make([]*request, 0, len(batch))
+	live := b.live[:0]
 	for _, req := range batch {
 		// Each outcome is counted before it is delivered, so a caller that
 		// reads the metrics once Submit returns sees its own request.
@@ -216,13 +236,15 @@ func (b *Batcher) dispatch(batch []*request) {
 		}
 		live = append(live, req)
 	}
+	b.live = live
 	if len(live) == 0 {
 		return
 	}
-	rows := make([][]float32, len(live))
-	for i, req := range live {
-		rows[i] = req.row
+	rows := b.rows[:0]
+	for _, req := range live {
+		rows = append(rows, req.row)
 	}
+	b.rows = rows
 	// The explicit nil guard (rather than relying on the nil-tracer no-op)
 	// keeps the disabled path free of the variadic label slice and the
 	// strconv call, preserving the zero-allocation dispatch.
@@ -231,7 +253,9 @@ func (b *Batcher) dispatch(batch []*request) {
 		sp = b.cfg.Trace.Start(b.cfg.TraceTrack, "batch",
 			obs.L("rows", strconv.Itoa(len(live))))
 	}
+	b.executing.Store(int64(len(rows)))
 	preds, stats, err := b.safeInfer(rows)
+	b.executing.Store(0)
 	sp.End()
 	// A backend that survives its own call can still hand back a prediction
 	// slice that does not match the batch; indexing it blindly would panic

@@ -18,7 +18,7 @@ import (
 //   - the router divides the remaining budget across its ring-walk attempts
 //     and stamps each backend request with that attempt's share;
 //   - serve admission refuses (503) any request whose remaining budget is
-//     already spent or cannot cover the lane's estimated queue wait — the
+//     already spent or cannot cover the lane's estimated wait — the
 //     substrate never spends cycles on an answer nobody will be there to
 //     read;
 //   - once admitted, the budget becomes the request context's deadline, so
@@ -61,20 +61,21 @@ type deadlineVerdict struct {
 
 // checkDeadline is the admission gate's pure core: given a request's
 // remaining budget and the lane's observable state, decide whether the
-// request can plausibly be answered in time.
+// request can plausibly be answered in time. ahead is the rows the request
+// would wait behind: those queued plus those in the executing batch.
 //
 //   - budget <= 0: the deadline passed before admission;
-//   - queued work: with a primed drain-rate estimate, depth/rate is the
-//     expected queue wait; a budget below it would expire in the queue.
+//   - work ahead: with a primed drain-rate estimate, ahead/rate is the
+//     expected wait; a budget below it would expire before its turn.
 //
 // Rejecting at admission turns a guaranteed 504-after-work into an
 // immediate, costless 503 the client can retry elsewhere.
-func checkDeadline(budget time.Duration, depth int, drainPerSec float64) deadlineVerdict {
+func checkDeadline(budget time.Duration, ahead int, drainPerSec float64) deadlineVerdict {
 	switch {
 	case budget <= 0:
 		return deadlineVerdict{reject: true, reason: "expired"}
-	case depth > 0 && drainPerSec > 0:
-		wait := time.Duration(float64(depth) / drainPerSec * float64(time.Second))
+	case ahead > 0 && drainPerSec > 0:
+		wait := time.Duration(float64(ahead) / drainPerSec * float64(time.Second))
 		if wait > budget {
 			return deadlineVerdict{reject: true, reason: "queue_wait"}
 		}

@@ -69,7 +69,8 @@ func TestParseFormatDeadline(t *testing.T) {
 // A spent budget must be refused at admission — 503 with Retry-After,
 // counted in the registry — while a small budget on an idle lane is
 // admitted: continuous batching dispatches it at once, so there is no batch
-// floor for it to lose against.
+// floor for it to lose against. On a busy lane the batch already executing
+// counts as work ahead, even with the queue empty.
 func TestDeadlineAdmission(t *testing.T) {
 	m := syntheticModel(t, false)
 	reg := NewRegistry()
@@ -81,10 +82,10 @@ func TestDeadlineAdmission(t *testing.T) {
 	defer ts.Close()
 	defer s.Close()
 
-	post := func(deadline string) *http.Response {
+	const predictBody = `{"model":"tiny","inputs":[[0,0,0,0,0,0,0,0,0,0,0,0]]}`
+	postTo := func(url, deadline string) *http.Response {
 		t.Helper()
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/predict",
-			strings.NewReader(`{"model":"tiny","inputs":[[0,0,0,0,0,0,0,0,0,0,0,0]]}`))
+		req, _ := http.NewRequest(http.MethodPost, url+"/v1/predict", strings.NewReader(predictBody))
 		if deadline != "" {
 			req.Header.Set(DeadlineHeader, deadline)
 		}
@@ -95,9 +96,10 @@ func TestDeadlineAdmission(t *testing.T) {
 		t.Cleanup(func() { resp.Body.Close() })
 		return resp
 	}
-	scrape := func() string {
+	post := func(deadline string) *http.Response { return postTo(ts.URL, deadline) }
+	scrapeFrom := func(url string) string {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/metrics")
+		resp, err := http.Get(url + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,6 +110,7 @@ func TestDeadlineAdmission(t *testing.T) {
 		}
 		return string(body)
 	}
+	scrape := func() string { return scrapeFrom(ts.URL) }
 
 	// 1 ms is enough on an idle lane. The request may still time out on a
 	// stalled host (504), so only the admission outcome is asserted.
@@ -138,6 +141,53 @@ func TestDeadlineAdmission(t *testing.T) {
 	}
 	if n := strings.Count(body, "rapidnn_serve_deadline_rejected_total{"); n != 1 {
 		t.Errorf("%d deadline-rejection series, want only the expired one:\n%s", n, body)
+	}
+
+	// Busy lane. Prime the drain-rate estimate: the first budgeted request
+	// samples the completed count, the second samples it again 150 ms and
+	// one completion later, so the lane drains at most one row per 300 ms.
+	busy := NewServer(reg, Config{})
+	bts := httptest.NewServer(busy)
+	defer bts.Close()
+	defer busy.Close()
+	for i := 0; i < 2; i++ {
+		if i > 0 {
+			time.Sleep(150 * time.Millisecond)
+		}
+		if resp := postTo(bts.URL, "5000"); resp.StatusCode != http.StatusOK {
+			t.Fatalf("priming request %d: status %d, want 200", i, resp.StatusCode)
+		}
+	}
+	// Hold the next batch in the backend: the queue is empty, one row runs.
+	ln, err := busy.laneFor(m, PathSoftware)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newGate()
+	ln.b.infer = g.wrap(ln.b.infer)
+	held := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(bts.URL+"/v1/predict", "application/json", strings.NewReader(predictBody))
+		if err != nil {
+			held <- 0
+			return
+		}
+		resp.Body.Close()
+		held <- resp.StatusCode
+	}()
+	<-g.entered
+	// 20 ms is far below one row's drain time: refused at once, while the
+	// gate is still shut, rather than admitted to expire behind the batch.
+	resp := postTo(bts.URL, "20")
+	close(g.open)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("20ms budget behind an executing batch: status %d, want 503 at admission", resp.StatusCode)
+	}
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held request: status %d, want 200", code)
+	}
+	if want := `rapidnn_serve_deadline_rejected_total{reason="queue_wait"} 1`; !strings.Contains(scrapeFrom(bts.URL), want) {
+		t.Errorf("busy-lane metrics missing %q", want)
 	}
 }
 

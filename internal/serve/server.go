@@ -409,16 +409,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	if hasBudget {
 		// Admission control on the propagated deadline: a request whose
-		// remaining budget is spent or cannot cover the lane's expected queue
-		// wait is refused up front — a costless 503 the caller can spend
-		// elsewhere instead of a 504 after wasted work.
-		depth, drain := ln.b.Depth(), ln.met.DrainRate(time.Now())
-		if v := checkDeadline(budget, depth, drain); v.reject {
+		// remaining budget is spent or cannot cover the lane's expected wait
+		// — the queued rows and the batch already executing — is refused up
+		// front: a costless 503 the caller can spend elsewhere instead of a
+		// 504 after wasted work.
+		depth, running := ln.b.Depth(), ln.b.Executing()
+		drain := ln.met.DrainRate(time.Now())
+		if v := checkDeadline(budget, depth+running, drain); v.reject {
 			s.deadlineOutcome(v.reason)
 			w.Header().Set("Retry-After", strconv.Itoa(RetryAfterSeconds(depth, drain)))
 			writeError(w, http.StatusServiceUnavailable,
-				"deadline budget %v rejected at admission (%s): lane %s/%s has depth %d",
-				budget, v.reason, m.Name, path, depth)
+				"deadline budget %v rejected at admission (%s): lane %s/%s has %d rows queued, %d executing",
+				budget, v.reason, m.Name, path, depth, running)
 			return
 		}
 	}
