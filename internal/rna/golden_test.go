@@ -146,8 +146,8 @@ var goldenArtifacts = []goldenArtifact{
 func (a goldenArtifact) path() string { return filepath.Join("testdata", a.name+".rapidnn") }
 
 // compose trains the recipe's network briefly, composes it at 16/16
-// codebooks and writes it as a RAPIDNN2 artifact.
-func (a goldenArtifact) compose(t *testing.T) {
+// codebooks and returns its RAPIDNN2 bytes.
+func (a goldenArtifact) compose(t *testing.T) []byte {
 	t.Helper()
 	ds := a.data()
 	net := a.net(rand.New(rand.NewSource(a.seed)))
@@ -168,12 +168,7 @@ func (a goldenArtifact) compose(t *testing.T) {
 	if err := c.SaveFlat(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll("testdata", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(a.path(), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return buf.Bytes()
 }
 
 // digester hashes executor outputs as little-endian 64-bit words.
@@ -248,6 +243,24 @@ func scoreArtifact(t *testing.T, hw *rna.HardwareNetwork, rows *tensor.Tensor, r
 	return d.sum()
 }
 
+// TestGoldenArtifactsRecomposeByteIdentical pins the composer against the
+// committed artifacts: training and composing each recipe again must write
+// the committed file byte for byte. It is the cross-commit check on every
+// statistics pass the recipes reach (dense, conv with max and avg pooling,
+// residual, recurrent), including the order in which each layer's operands,
+// pre-activations and fed-back hidden states are sampled.
+func TestGoldenArtifactsRecomposeByteIdentical(t *testing.T) {
+	for _, a := range goldenArtifacts {
+		want, err := os.ReadFile(a.path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.compose(t); !bytes.Equal(got, want) {
+			t.Errorf("%s: recomposed artifact differs from %s (%d vs %d bytes)", a.name, a.path(), len(got), len(want))
+		}
+	}
+}
+
 // TestGoldenArtifactsResaveByteIdentical pins the RAPIDNN2 writer against the
 // committed artifacts: loading each one and writing it back with SaveFlat
 // must reproduce the file byte for byte.
@@ -284,7 +297,12 @@ func TestGoldenExecutorDigests(t *testing.T) {
 	out.WriteString("# Regenerate with: go test ./internal/rna -run TestGoldenExecutorDigests -update\n")
 	for _, a := range goldenArtifacts {
 		if _, err := os.Stat(a.path()); os.IsNotExist(err) && *update {
-			a.compose(t)
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(a.path(), a.compose(t), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 		c, err := composer.LoadFile(a.path())
 		if err != nil {
