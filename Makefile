@@ -37,13 +37,14 @@ vet:
 # clean under the race detector — including the scratch-arena plumbing
 # underneath them (counting, crossbar adder, NDCAM) and the per-batch CAM
 # lookup cache each InferBatchStats worker arms on its own Scratch
-# (TestInferBatchCAMCacheConcurrent) — and the compilation pass's parallel
-# candidate scoring (internal/accel/compile).
+# (TestInferBatchCAMCacheConcurrent) — the compilation pass's parallel
+# candidate scoring (internal/accel/compile), and the software forward that
+# concurrent predicts share (internal/nn, TestConcurrentPredictIsRaceFree).
 race:
 	go test -race ./internal/rna/... ./internal/cluster/... ./internal/serve/... \
 		./internal/counting/... ./internal/crossbar/... ./internal/ndcam/... \
 		./internal/obs/... ./internal/fleet/... ./internal/chaos/... \
-		./internal/accel/...
+		./internal/accel/... ./internal/nn/...
 
 # Robustness gate: fuzz the RAPIDNN2 artifact reader with a short budget.
 # The seed corpus (a valid artifact plus truncations/corruptions) is built
@@ -73,6 +74,13 @@ HOT_PKGS = ./internal/rna/ ./internal/crossbar/ ./internal/ndcam/ ./internal/ser
 
 bench-hot:
 	go test -run '^$$' -bench '$(HOT_BENCHES)' -benchmem $(HOT_PKGS)
+
+# The two checking targets pipe go test into the checker. pipefail (which
+# dash, the usual /bin/sh, rejects) makes a test package that does not build,
+# or a benchmark that fails, fail the target even when every row that did
+# run is within tolerance.
+bench-compare bench-gate: SHELL := /bin/bash
+bench-compare bench-gate: .SHELLFLAGS := -o pipefail -c
 
 bench-compare:
 	go build -o /tmp/rapidnn-benchstat ./cmd/rapidnn-benchstat

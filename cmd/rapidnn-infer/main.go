@@ -77,7 +77,7 @@ func main() {
 	}
 
 	re := composer.NewReinterpreted(c.Net, c.Plans)
-	swErr := re.ErrorRate(ds.TestX, ds.TestY, 64)
+	swErr := re.ErrorRate(ds.TestX, ds.TestY)
 	fmt.Printf("software reinterpreted error on %s test split: %.2f%%\n", ds.Name, 100*swErr)
 
 	if *hwSamples <= 0 {

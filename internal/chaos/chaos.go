@@ -156,13 +156,6 @@ func (e *Engine) reseedLocked(seed int64) {
 	e.rng = rand.New(rand.NewSource(seed))
 }
 
-// SetSleep replaces the latency-injection sleeper (tests inject a recorder).
-func (e *Engine) SetSleep(fn func(ctx context.Context, d time.Duration)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.sleep = fn
-}
-
 // Sleep blocks for d or until ctx is done, via the injectable sleeper.
 func (e *Engine) Sleep(ctx context.Context, d time.Duration) {
 	e.mu.Lock()

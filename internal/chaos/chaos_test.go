@@ -85,21 +85,6 @@ func TestParse(t *testing.T) {
 	}
 }
 
-func TestFormatRulesRoundTrips(t *testing.T) {
-	spec := "serve.predict=latency:150ms@0.5;router.forward=http:503@3nx7;pool.probe=blackhole@1n"
-	rules, err := Parse(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := Parse(FormatRules(rules))
-	if err != nil {
-		t.Fatalf("re-parsing formatted rules: %v", err)
-	}
-	if !reflect.DeepEqual(rules, again) {
-		t.Fatalf("round trip changed rules: %+v -> %+v", rules, again)
-	}
-}
-
 // A nil engine and an engine with no rules are both no-ops.
 func TestEvalNoOpDefaults(t *testing.T) {
 	var nilEngine *Engine

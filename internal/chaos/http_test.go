@@ -37,11 +37,13 @@ func (s *sleepRecorder) all() []time.Duration {
 
 func fastSleep(e *Engine) *sleepRecorder {
 	rec := &sleepRecorder{}
-	e.SetSleep(func(ctx context.Context, d time.Duration) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.sleep = func(ctx context.Context, d time.Duration) {
 		rec.mu.Lock()
 		rec.slept = append(rec.slept, d)
 		rec.mu.Unlock()
-	})
+	}
 	return rec
 }
 

@@ -114,37 +114,3 @@ func parseActivation(s string, r *Rule) error {
 	r.Rate = rate
 	return nil
 }
-
-// FormatRules renders rules back into the spec grammar — Status consumers
-// and tests round-trip through it.
-func FormatRules(rules []Rule) string {
-	var b strings.Builder
-	for i, r := range rules {
-		if i > 0 {
-			b.WriteByte(';')
-		}
-		b.WriteString(r.Point)
-		b.WriteByte('=')
-		b.WriteString(string(r.Action))
-		switch r.Action {
-		case ActLatency, ActDrip:
-			b.WriteByte(':')
-			b.WriteString(r.Delay.String())
-		case ActHTTP:
-			b.WriteByte(':')
-			b.WriteString(strconv.Itoa(r.Code))
-		}
-		b.WriteByte('@')
-		if r.Nth > 0 {
-			b.WriteString(strconv.Itoa(r.Nth))
-			b.WriteByte('n')
-		} else {
-			b.WriteString(strconv.FormatFloat(r.Rate, 'g', -1, 64))
-		}
-		if r.MaxFires > 0 {
-			b.WriteByte('x')
-			b.WriteString(strconv.Itoa(r.MaxFires))
-		}
-	}
-	return b.String()
-}

@@ -171,7 +171,7 @@ func Compose(net *nn.Network, ds *dataset.Dataset, cfg Config) (*Composed, error
 		return nil, err
 	}
 	work := nn.CloneNetwork(net)
-	baseErr := work.ErrorRate(ds.TestX, ds.TestY, 64)
+	baseErr := work.ErrorRate(ds.TestX, ds.TestY)
 
 	out := &Composed{Cfg: cfg, BaselineError: baseErr}
 	best := nnSnapshot{err: 2} // sentinel worse than any real error rate
@@ -189,7 +189,7 @@ func Compose(net *nn.Network, ds *dataset.Dataset, cfg Config) (*Composed, error
 		}
 		re := NewReinterpreted(work, plans)
 		estSp := cfg.Trace.Start("composer", "estimate_error")
-		clErr := re.ErrorRate(ds.TestX, ds.TestY, 64)
+		clErr := re.ErrorRate(ds.TestX, ds.TestY)
 		estSp.End()
 		out.History = append(out.History, IterationStats{
 			Iteration:         iter,

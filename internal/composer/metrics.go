@@ -10,9 +10,6 @@ type Histogram struct {
 	Counts []int
 }
 
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.Counts) }
-
 // NonZeroBins counts bins with at least one weight — clustering collapses
 // the distribution onto ≤ w spikes, so this drops sharply (Fig. 6b).
 func (h *Histogram) NonZeroBins() int {

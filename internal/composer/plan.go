@@ -3,6 +3,7 @@ package composer
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/cluster"
@@ -132,11 +133,8 @@ func (p *LayerPlan) IsCompute() bool {
 // bit-identical plans in any schedule.
 func BuildPlans(net *nn.Network, ds *dataset.Dataset, cfg Config, iter int) ([]*LayerPlan, error) {
 	statsSp := cfg.Trace.Start("composer", "statistics")
-	inputs, pres, err := sampleStatistics(net, ds, cfg, iter)
+	inputs, pres := sampleStatistics(net, ds, cfg, iter)
 	statsSp.End()
-	if err != nil {
-		return nil, err
-	}
 	seed := cfg.Seed + int64(iter)*7919
 	plans := make([]*LayerPlan, len(net.Layers))
 	errs := make([]error, len(net.Layers))
@@ -315,40 +313,35 @@ func observedRange(pre []float32) (lo, hi float64) {
 // sampleStatistics feeds a sampled slice of the training set forward and
 // collects, for every layer, the operand values entering it and the
 // pre-activation values it produces. The paper samples as little as 2 % of
-// the training data (§3.1).
-func sampleStatistics(net *nn.Network, ds *dataset.Dataset, cfg Config, iter int) (inputs, pres [][]float32, err error) {
+// the training data (§3.1). The pass probes each layer without writing layer
+// state, and samples every population in the order nn.Probe lays it out.
+func sampleStatistics(net *nn.Network, ds *dataset.Dataset, cfg Config, iter int) (inputs, pres [][]float32) {
 	total := ds.TrainX.Dim(0)
 	n := int(float64(total) * cfg.SampleFrac)
 	if n < 32 {
 		n = min(32, total)
 	}
 	in := ds.InSize()
-	x := tensor.FromSlice(ds.TrainX.Data()[:n*in], n, in)
+	cur := tensor.FromSlice(ds.TrainX.Data()[:n*in], n, in)
 
 	inputs = make([][]float32, len(net.Layers))
 	pres = make([][]float32, len(net.Layers))
-	cur := x
 	for i, l := range net.Layers {
-		switch l.(type) {
-		case *nn.Dense, *nn.Conv2D, *nn.Recurrent:
+		out, pre, hidden := nn.Probe(l, cur)
+		if pre != nil {
 			inputs[i] = cluster.Sample(cur.Data(), sampleKeep(cur.Len()), 256, cfg.Seed+int64(1000*iter+i))
+			pres[i] = cluster.Sample(pre, sampleKeep(len(pre)), 256, cfg.Seed+int64(2000*iter+i))
 		}
-		cur = l.Forward(cur, false)
-		switch t := l.(type) {
-		case *nn.Dense:
-			pres[i] = cluster.Sample(t.PreActivations().Data(), sampleKeep(t.PreActivations().Len()), 256, cfg.Seed+int64(2000*iter+i))
-		case *nn.Conv2D:
-			pres[i] = cluster.Sample(t.PreActivations().Data(), sampleKeep(t.PreActivations().Len()), 256, cfg.Seed+int64(2000*iter+i))
-		case *nn.Recurrent:
-			pres[i] = cluster.Sample(t.PreActivations().Data(), sampleKeep(t.PreActivations().Len()), 256, cfg.Seed+int64(2000*iter+i))
+		if hidden != nil {
 			// The fed-back hidden state shares the input FIFO, so its values
-			// join the input-codebook population.
-			hidden := t.HiddenStates()
-			inputs[i] = append(inputs[i],
+			// join the input-codebook population. The operand sample may
+			// alias the training split, so the append must not grow into it.
+			inputs[i] = append(slices.Clip(inputs[i]),
 				cluster.Sample(hidden, sampleKeep(len(hidden)), 256, cfg.Seed+int64(3000*iter+i))...)
 		}
+		cur = out
 	}
-	return inputs, pres, nil
+	return inputs, pres
 }
 
 // sampleKeep bounds per-layer statistic populations so k-means stays fast on

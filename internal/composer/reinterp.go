@@ -13,6 +13,9 @@ import (
 // handles the raw input), and activation functions go through their lookup
 // tables. Its classification error is exactly what the RNA hardware
 // produces, because the hardware computes with the same finite tables.
+//
+// A Reinterpreted is safe for concurrent use: its forward runs every layer
+// in inference mode, which writes no layer state.
 type Reinterpreted struct {
 	plans []*LayerPlan
 	qnet  *nn.Network // clone with quantized weights and table activations
@@ -71,27 +74,8 @@ func (r *Reinterpreted) Predict(x *tensor.Tensor) []int {
 }
 
 // ErrorRate evaluates the reinterpreted model's misclassification rate.
-func (r *Reinterpreted) ErrorRate(x *tensor.Tensor, labels []int, batchSize int) float64 {
-	total := x.Dim(0)
-	in := r.qnet.InSize()
-	if batchSize <= 0 {
-		batchSize = 64
-	}
-	wrong := 0
-	for start := 0; start < total; start += batchSize {
-		end := start + batchSize
-		if end > total {
-			end = total
-		}
-		b := end - start
-		xb := tensor.FromSlice(x.Data()[start*in:end*in], b, in)
-		for i, pr := range r.Predict(xb) {
-			if pr != labels[start+i] {
-				wrong++
-			}
-		}
-	}
-	return float64(wrong) / float64(total)
+func (r *Reinterpreted) ErrorRate(x *tensor.Tensor, labels []int) float64 {
+	return nn.ErrorRate(r.Predict, x, labels)
 }
 
 // Plans exposes the layer plans driving this model.

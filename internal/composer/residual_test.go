@@ -29,7 +29,7 @@ func TestComposeResidualNetwork(t *testing.T) {
 			net.TrainBatch(x, labels, opt)
 		})
 	}
-	baseErr := net.ErrorRate(ds.TestX, ds.TestY, 64)
+	baseErr := net.ErrorRate(ds.TestX, ds.TestY)
 	if baseErr > 0.4 {
 		t.Fatalf("residual baseline failed to learn: %v", baseErr)
 	}

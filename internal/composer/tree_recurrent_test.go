@@ -61,7 +61,7 @@ func TestComposeRecurrentNetwork(t *testing.T) {
 			net.TrainBatch(x, labels, opt)
 		})
 	}
-	base := net.ErrorRate(ds.TestX, ds.TestY, 64)
+	base := net.ErrorRate(ds.TestX, ds.TestY)
 	if base > 0.4 {
 		t.Fatalf("RNN baseline failed to learn: %v", base)
 	}
@@ -91,6 +91,25 @@ func TestComposeRecurrentNetwork(t *testing.T) {
 	x := tensor.FromSlice(ds.TestX.Data()[:4*steps*in], 4, steps*in)
 	if out := re.Forward(x); out.Dim(1) != 3 {
 		t.Fatalf("reinterpreted RNN output shape %v", out.Shape())
+	}
+}
+
+// The statistics pass samples a recurrent first layer's operands straight
+// out of the training split, then appends the hidden-state sample to them;
+// that append must not write into the split's unsampled rows.
+func TestBuildPlansLeavesTrainingSplitUntouched(t *testing.T) {
+	ds := dataset.GenerateSequences(dataset.SequenceConfig{
+		Name: "seq", Steps: 5, Features: 4, NumClasses: 3, Train: 300, Test: 24, Seed: 47,
+	})
+	net := nn.NewNetwork("rnn").
+		Add(nn.NewRecurrent("rnn", 4, 10, 5, nn.Tanh{}, rand.New(rand.NewSource(47)))).
+		Add(nn.NewDense("out", 10, 3, nn.Identity{}, rand.New(rand.NewSource(48))))
+	before := slices.Clone(ds.TrainX.Data())
+	if _, err := BuildPlans(net, ds, fastConfig(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ds.TrainX.Data(), before) {
+		t.Fatal("BuildPlans wrote into the training split")
 	}
 }
 
@@ -139,7 +158,7 @@ func TestReconfigurePlansLevels(t *testing.T) {
 	}
 	// The coarser model still runs and is not absurdly worse.
 	re := NewReinterpreted(c.Net, plans)
-	coarse := re.ErrorRate(ds.TestX, ds.TestY, 64)
+	coarse := re.ErrorRate(ds.TestX, ds.TestY)
 	if coarse > c.FinalError+0.3 {
 		t.Fatalf("level downshift destroyed the model: %v → %v", c.FinalError, coarse)
 	}

@@ -54,11 +54,6 @@ type Config struct {
 	Seed int64
 }
 
-// Active reports whether the configuration injects any fault at all.
-func (c Config) Active() bool {
-	return c.StuckRate > 0 || c.TransientRate > 0 || c.CAMRowRate > 0
-}
-
 // Validate rejects rates outside [0,1].
 func (c Config) Validate() error {
 	for _, r := range []struct {

@@ -131,7 +131,7 @@ func TestConfigModelAndValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ForModel(%s): %v", m, err)
 		}
-		if !cfg.Active() || cfg.Seed != 3 {
+		if cfg.StuckRate+cfg.TransientRate+cfg.CAMRowRate == 0 || cfg.Seed != 3 {
 			t.Fatalf("ForModel(%s) = %+v inactive or wrong seed", m, cfg)
 		}
 	}
@@ -140,9 +140,6 @@ func TestConfigModelAndValidation(t *testing.T) {
 	}
 	if err := (Config{StuckRate: 1.5}).Validate(); err == nil {
 		t.Fatal("rate > 1 must fail validation")
-	}
-	if (Config{}).Active() {
-		t.Fatal("zero config must be inactive")
 	}
 	if f := (Config{}).OneFrac(); f != 0.5 {
 		t.Fatalf("default stuck-at-1 fraction %v, want 0.5", f)

@@ -175,7 +175,7 @@ func Train(net *nn.Network, ds *dataset.Dataset, cfg TrainConfig) float64 {
 			net.TrainBatch(x, labels, opt)
 		})
 	}
-	return net.ErrorRate(ds.TestX, ds.TestY, 64)
+	return net.ErrorRate(ds.TestX, ds.TestY)
 }
 
 // Benchmark couples a dataset with its paper topology.

@@ -39,18 +39,3 @@ func cloneLayer(l Layer) Layer {
 	}
 	panic(fmt.Sprintf("nn: cannot clone layer of type %T", l))
 }
-
-// SetWeights copies src's parameter values into dst (shapes must match);
-// used to restore the best retraining iterate.
-func SetWeights(dst, src *Network) {
-	dp, sp := dst.Params(), src.Params()
-	if len(dp) != len(sp) {
-		panic("nn: SetWeights parameter count mismatch")
-	}
-	for i := range dp {
-		if dp[i].Value.Len() != sp[i].Value.Len() {
-			panic("nn: SetWeights shape mismatch at " + dp[i].Name)
-		}
-		copy(dp[i].Value.Data(), sp[i].Value.Data())
-	}
-}

@@ -26,7 +26,6 @@ type Conv2D struct {
 	// padding).
 	Skip bool
 
-	lastX    *tensor.Tensor
 	lastCols []*tensor.Tensor // per-sample im2col matrices
 	lastPre  *tensor.Tensor
 	lastPost *tensor.Tensor
@@ -70,49 +69,57 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.W, c.B} }
 // chaining into pooling or further convolution layers.
 func (c *Conv2D) OutGeom() (ch, h, w int) { return c.OutC, c.Geom.OutH(), c.Geom.OutW() }
 
-// Forward computes activations for a [batch, inC*H*W] input.
+// Forward computes activations for a [batch, inC*H*W] input. Only a training
+// pass caches what Backward needs; an inference pass writes no layer state.
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	out, pre, post, cols := c.forward(x, train)
+	if train {
+		c.lastCols, c.lastPre, c.lastPost = cols, pre, post
+	}
+	return out
+}
+
+// forward returns the layer output, the pre-activations and the activations,
+// reading the layer's parameters only. With keepCols it also returns each
+// sample's im2col matrix, which Backward reuses.
+func (c *Conv2D) forward(x *tensor.Tensor, keepCols bool) (out, pre, post *tensor.Tensor, cols []*tensor.Tensor) {
 	if x.Dim(1) != c.InSize() {
 		panic(fmt.Sprintf("nn: %s expects %d features, got %d", c.name, c.InSize(), x.Dim(1)))
 	}
 	batch := x.Dim(0)
 	p := c.Geom.OutH() * c.Geom.OutW()
-	pre := tensor.New(batch, c.OutC*p)
-	var cols []*tensor.Tensor
-	if train {
+	pre = tensor.New(batch, c.OutC*p)
+	if keepCols {
 		cols = make([]*tensor.Tensor, batch)
 	}
 	bias := c.B.Value.Data()
 	for i := 0; i < batch; i++ {
 		sample := x.Data()[i*c.InSize() : (i+1)*c.InSize()]
 		col := tensor.Im2Col(sample, c.Geom) // [p, k]
-		if train {
+		if keepCols {
 			cols[i] = col
 		}
 		// y[c][p] = Σ_k W[c][k]·col[p][k] + b[c], computed as col·Wᵀ then
 		// re-laid-out channel-major.
-		out := pre.Data()[i*c.OutC*p : (i+1)*c.OutC*p]
+		dst := pre.Data()[i*c.OutC*p : (i+1)*c.OutC*p]
 		yc := tensor.MatMulTransB(col, c.W.Value) // [p, outC]
 		for pp := 0; pp < p; pp++ {
 			row := yc.Data()[pp*c.OutC : (pp+1)*c.OutC]
 			for ch, v := range row {
-				out[ch*p+pp] = v + bias[ch]
+				dst[ch*p+pp] = v + bias[ch]
 			}
 		}
 	}
-	post := tensor.New(batch, c.OutC*p)
+	post = tensor.New(batch, c.OutC*p)
 	for i, v := range pre.Data() {
 		post.Data()[i] = float32(c.Act.Eval(float64(v)))
 	}
-	// lastPre/lastPost are cached unconditionally so the composer can sample
-	// pre-activations from inference passes; cols only exist in train mode.
-	c.lastX, c.lastCols, c.lastPre, c.lastPost = x, cols, pre, post
 	if c.Skip {
-		out := post.Clone()
+		out = post.Clone()
 		out.AddInPlace(x)
-		return out
+		return out, pre, post, cols
 	}
-	return post
+	return post, pre, post, cols
 }
 
 // Backward propagates gradients and accumulates filter/bias gradients.
@@ -170,7 +177,3 @@ func NewResidualConv2D(name string, g tensor.ConvGeom, act Activation, rng *rand
 	c.Skip = true
 	return c
 }
-
-// PreActivations returns the cached pre-activation tensor from the last
-// training-mode forward pass.
-func (c *Conv2D) PreActivations() *tensor.Tensor { return c.lastPre }

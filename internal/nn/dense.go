@@ -54,12 +54,23 @@ func (d *Dense) InSize() int      { return d.in }
 func (d *Dense) OutSize() int     { return d.out }
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-// Forward computes the layer output for a [batch, in] input.
+// Forward computes the layer output for a [batch, in] input. Only a training
+// pass caches what Backward needs; an inference pass writes no layer state.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	out, pre, post := d.forward(x)
+	if train {
+		d.lastX, d.lastPre, d.lastPost = x, pre, post
+	}
+	return out
+}
+
+// forward returns the layer output, the pre-activations x·W+b and the
+// activations, reading the layer's parameters only.
+func (d *Dense) forward(x *tensor.Tensor) (out, pre, post *tensor.Tensor) {
 	if x.Dim(1) != d.in {
 		panic(fmt.Sprintf("nn: %s expects %d features, got %d", d.name, d.in, x.Dim(1)))
 	}
-	pre := tensor.MatMul(x, d.W.Value)
+	pre = tensor.MatMul(x, d.W.Value)
 	batch := pre.Dim(0)
 	bias := d.B.Value.Data()
 	for i := 0; i < batch; i++ {
@@ -68,19 +79,16 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			row[j] += bias[j]
 		}
 	}
-	post := tensor.New(batch, d.out)
+	post = tensor.New(batch, d.out)
 	for i, v := range pre.Data() {
 		post.Data()[i] = float32(d.Act.Eval(float64(v)))
 	}
-	// Cached unconditionally: Backward needs them in training, and the
-	// composer samples PreActivations from inference-mode passes.
-	d.lastX, d.lastPre, d.lastPost = x, pre, post
 	if d.Skip {
-		out := post.Clone()
+		out = post.Clone()
 		out.AddInPlace(x)
-		return out
+		return out, pre, post
 	}
-	return post
+	return post, pre, post
 }
 
 // Backward propagates grad (∂L/∂y, [batch, out]) and accumulates ∂L/∂W, ∂L/∂b.
@@ -119,8 +127,3 @@ func NewResidualDense(name string, size int, act Activation, rng *rand.Rand) *De
 	d.Skip = true
 	return d
 }
-
-// PreActivations returns the cached pre-activation values from the last
-// training-mode forward pass; the composer samples these to build the
-// activation-function lookup-table domain.
-func (d *Dense) PreActivations() *tensor.Tensor { return d.lastPre }

@@ -7,9 +7,12 @@ import "repro/internal/tensor"
 // (convolution, pooling) carry their own geometry and interpret the feature
 // axis as channel-major C×H×W.
 //
-// Forward must cache whatever Backward needs; Backward receives the gradient
-// of the loss with respect to the layer output and returns the gradient with
-// respect to the layer input, accumulating parameter gradients into Params.
+// Forward(x, true) caches whatever Backward needs; Forward(x, false) writes
+// no layer state, so any number of goroutines may run inference on one
+// layer at once (while none trains it). Backward receives the gradient of the
+// loss with respect to the output of the last training Forward and returns
+// the gradient with respect to its input, accumulating parameter gradients
+// into Params.
 type Layer interface {
 	Name() string
 	// InSize and OutSize are the flattened feature counts.
@@ -35,3 +38,23 @@ func newParam(name string, value *tensor.Tensor) *Param {
 
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
+
+// Probe runs l forward like Forward(x, false), writing no layer state, and
+// also returns what the composer's statistics pass samples (§3.1): a compute
+// layer's pre-activations, row-major (a recurrent row holds its Steps×H
+// values in step order), and a recurrent layer's hidden states h_1 … h_T,
+// step-major, each [batch, H]. Both are nil for the other layers.
+func Probe(l Layer, x *tensor.Tensor) (out *tensor.Tensor, pre, hidden []float32) {
+	switch t := l.(type) {
+	case *Dense:
+		o, p, _ := t.forward(x)
+		return o, p.Data(), nil
+	case *Conv2D:
+		o, p, _, _ := t.forward(x, false)
+		return o, p.Data(), nil
+	case *Recurrent:
+		o, p, hs := t.forward(x)
+		return o, p.Data(), hs[x.Dim(0)*t.H:]
+	}
+	return l.Forward(x, false), nil, nil
+}

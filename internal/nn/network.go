@@ -67,22 +67,21 @@ func (n *Network) Predict(x *tensor.Tensor) []int {
 	return Argmax(n.Forward(x, false))
 }
 
-// ErrorRate evaluates the network on (x, labels) in batches and returns the
-// misclassification fraction — the paper's error-rate metric (§5.2).
-func (n *Network) ErrorRate(x *tensor.Tensor, labels []int, batchSize int) float64 {
-	total := x.Dim(0)
-	if batchSize <= 0 {
-		batchSize = 64
-	}
+// ErrorRate returns the network's misclassification fraction on (x, labels).
+func (n *Network) ErrorRate(x *tensor.Tensor, labels []int) float64 {
+	return ErrorRate(n.Predict, x, labels)
+}
+
+// ErrorRate returns the fraction of x's rows that predict misclassifies — the
+// paper's error-rate metric (§5.2). It predicts 64 rows at a time; the batch
+// size changes no answer, because every layer evaluates its rows
+// independently.
+func ErrorRate(predict func(*tensor.Tensor) []int, x *tensor.Tensor, labels []int) float64 {
+	total, in := x.Dim(0), x.Dim(1)
 	wrong := 0
-	for start := 0; start < total; start += batchSize {
-		end := start + batchSize
-		if end > total {
-			end = total
-		}
-		b := end - start
-		xb := tensor.FromSlice(x.Data()[start*n.InSize():end*n.InSize()], b, n.InSize())
-		for i, p := range n.Predict(xb) {
+	for start := 0; start < total; start += 64 {
+		end := min(start+64, total)
+		for i, p := range predict(tensor.FromSlice(x.Data()[start*in:end*in], end-start, in)) {
 			if p != labels[start+i] {
 				wrong++
 			}

@@ -95,7 +95,7 @@ func TestXORLearning(t *testing.T) {
 	for epoch := 0; epoch < 400; epoch++ {
 		net.TrainBatch(x, labels, opt)
 	}
-	if err := net.ErrorRate(x, labels, 4); err != 0 {
+	if err := net.ErrorRate(x, labels); err != 0 {
 		t.Fatalf("XOR error rate after training = %v, want 0", err)
 	}
 }

@@ -25,10 +25,9 @@ type Recurrent struct {
 	B     *Param // [1, H]
 	Act   Activation
 
-	lastX    *tensor.Tensor
-	lastPre  []*tensor.Tensor // per step, [batch, H]
-	lastH    []*tensor.Tensor // per step (h_0 .. h_T), [batch, H]
-	lastFlat *tensor.Tensor   // concatenated pre-activations for the composer
+	lastX   *tensor.Tensor
+	lastPre *tensor.Tensor // [batch, Steps·H], each row's steps in order
+	lastH   []float32      // h_0 … h_T, step-major, batch·H values each
 }
 
 // NewRecurrent creates an RNN layer over sequences of `steps` frames with
@@ -64,45 +63,48 @@ func (r *Recurrent) InSize() int      { return r.In * r.Steps }
 func (r *Recurrent) OutSize() int     { return r.H }
 func (r *Recurrent) Params() []*Param { return []*Param{r.Wx, r.Wh, r.B} }
 
-// Forward unrolls the recurrence over the sequence.
+// Forward unrolls the recurrence over the sequence and returns the final
+// hidden state. Only a training pass caches what Backward needs; an inference
+// pass writes no layer state.
 func (r *Recurrent) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	out, pre, hs := r.forward(x)
+	if train {
+		r.lastX, r.lastPre, r.lastH = x, pre, hs
+	}
+	return out
+}
+
+// forward unrolls the recurrence, reading the layer's parameters only. It
+// returns the final hidden state, the pre-activations as one [batch, Steps·H]
+// tensor whose rows hold their steps in order, and the hidden states
+// h_0 … h_T laid out step-major.
+func (r *Recurrent) forward(x *tensor.Tensor) (out, pre *tensor.Tensor, hs []float32) {
 	if x.Dim(1) != r.InSize() {
 		panic(fmt.Sprintf("nn: %s expects %d features, got %d", r.name, r.InSize(), x.Dim(1)))
 	}
 	batch := x.Dim(0)
-	h := tensor.New(batch, r.H)
-	r.lastX = x
-	r.lastPre = make([]*tensor.Tensor, r.Steps)
-	r.lastH = make([]*tensor.Tensor, r.Steps+1)
-	r.lastH[0] = h
+	pre = tensor.New(batch, r.Steps*r.H)
+	hs = make([]float32, (r.Steps+1)*batch*r.H)
 	bias := r.B.Value.Data()
 	for t := 0; t < r.Steps; t++ {
-		xt := r.stepInput(x, t)
-		pre := tensor.MatMul(xt, r.Wx.Value)
-		pre.AddInPlace(tensor.MatMul(h, r.Wh.Value))
+		acc := tensor.MatMul(r.stepInput(x, t), r.Wx.Value)
+		acc.AddInPlace(tensor.MatMul(r.state(hs, t, batch), r.Wh.Value))
+		next := r.state(hs, t+1, batch).Data()
 		for i := 0; i < batch; i++ {
-			row := pre.Data()[i*r.H : (i+1)*r.H]
+			row := pre.Data()[(i*r.Steps+t)*r.H : (i*r.Steps+t+1)*r.H]
 			for j := range row {
-				row[j] += bias[j]
+				row[j] = acc.Data()[i*r.H+j] + bias[j]
+				next[i*r.H+j] = float32(r.Act.Eval(float64(row[j])))
 			}
 		}
-		next := tensor.New(batch, r.H)
-		for i, v := range pre.Data() {
-			next.Data()[i] = float32(r.Act.Eval(float64(v)))
-		}
-		r.lastPre[t] = pre
-		r.lastH[t+1] = next
-		h = next
 	}
-	// Flattened pre-activations for composer statistics.
-	flat := tensor.New(batch, r.Steps*r.H)
-	for t := 0; t < r.Steps; t++ {
-		for i := 0; i < batch; i++ {
-			copy(flat.Data()[i*r.Steps*r.H+t*r.H:], r.lastPre[t].Data()[i*r.H:(i+1)*r.H])
-		}
-	}
-	r.lastFlat = flat
-	return h
+	return r.state(hs, r.Steps, batch), pre, hs
+}
+
+// state views hidden state h_t of a forward's hs as a [batch, H] tensor.
+func (r *Recurrent) state(hs []float32, t, batch int) *tensor.Tensor {
+	n := batch * r.H
+	return tensor.FromSlice(hs[t*n:(t+1)*n], batch, r.H)
 }
 
 // stepInput slices step t's frame out of the flattened sequence.
@@ -118,7 +120,7 @@ func (r *Recurrent) stepInput(x *tensor.Tensor, t int) *tensor.Tensor {
 // Backward runs truncated-free BPTT through all unrolled steps.
 func (r *Recurrent) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if r.lastPre == nil {
-		panic("nn: Backward before Forward on " + r.name)
+		panic("nn: Backward before Forward(train=true) on " + r.name)
 	}
 	batch := grad.Dim(0)
 	dx := tensor.New(batch, r.InSize())
@@ -127,14 +129,15 @@ func (r *Recurrent) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	for t := r.Steps - 1; t >= 0; t-- {
 		// Through the activation.
 		gPre := tensor.New(batch, r.H)
+		next := r.state(r.lastH, t+1, batch).Data()
 		for i := range gh.Data() {
-			x := float64(r.lastPre[t].Data()[i])
-			y := float64(r.lastH[t+1].Data()[i])
+			x := float64(r.lastPre.Data()[(i/r.H*r.Steps+t)*r.H+i%r.H])
+			y := float64(next[i])
 			gPre.Data()[i] = gh.Data()[i] * float32(r.Act.Grad(x, y))
 		}
 		xt := r.stepInput(r.lastX, t)
 		r.Wx.Grad.AddInPlace(tensor.MatMulTransA(xt, gPre))
-		r.Wh.Grad.AddInPlace(tensor.MatMulTransA(r.lastH[t], gPre))
+		r.Wh.Grad.AddInPlace(tensor.MatMulTransA(r.state(r.lastH, t, batch), gPre))
 		for i := 0; i < batch; i++ {
 			row := gPre.Data()[i*r.H : (i+1)*r.H]
 			for j, v := range row {
@@ -150,24 +153,4 @@ func (r *Recurrent) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		gh = tensor.MatMulTransB(gPre, r.Wh.Value)
 	}
 	return dx
-}
-
-// PreActivations returns the concatenated per-step pre-activations from the
-// last forward pass (the composer's table-domain statistics).
-func (r *Recurrent) PreActivations() *tensor.Tensor { return r.lastFlat }
-
-// HiddenStates returns the concatenated hidden activations (h_1 … h_T) of
-// the last forward pass. The composer samples them into the layer's input
-// codebook population: on the accelerator the fed-back state re-enters
-// through the same encoded FIFO as the frames, so the codebook must cover
-// both domains.
-func (r *Recurrent) HiddenStates() []float32 {
-	if r.lastH == nil {
-		return nil
-	}
-	var out []float32
-	for _, h := range r.lastH[1:] {
-		out = append(out, h.Data()...)
-	}
-	return out
 }

@@ -78,7 +78,7 @@ func TestRecurrentLearnsTemporalTask(t *testing.T) {
 		net.TrainBatch(trainX, trainY, opt)
 	}
 	testX, testY := gen(100)
-	if err := net.ErrorRate(testX, testY, 32); err > 0.1 {
+	if err := net.ErrorRate(testX, testY); err > 0.1 {
 		t.Fatalf("RNN failed the temporal task: error %v", err)
 	}
 }

@@ -86,7 +86,7 @@ func TestResidualNetworkLearns(t *testing.T) {
 	for epoch := 0; epoch < 500; epoch++ {
 		net.TrainBatch(x, labels, opt)
 	}
-	if err := net.ErrorRate(x, labels, 4); err != 0 {
+	if err := net.ErrorRate(x, labels); err != 0 {
 		t.Fatalf("residual XOR error %v after training", err)
 	}
 }

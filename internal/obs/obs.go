@@ -172,18 +172,6 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n bucket bounds from start in steps of width.
-func LinearBuckets(start, width float64, n int) []float64 {
-	if n < 1 || width <= 0 {
-		panic("obs: LinearBuckets wants n >= 1, width > 0")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
-}
-
 // metricKind discriminates the series payload.
 type metricKind int
 

@@ -100,7 +100,7 @@ func TestHardwareNetworkConvPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swErr := re.ErrorRate(ds.TestX, ds.TestY, 64)
+	swErr := re.ErrorRate(ds.TestX, ds.TestY)
 	if hwErr > swErr+0.25 {
 		t.Fatalf("hardware conv error %v far above software %v", hwErr, swErr)
 	}
@@ -127,7 +127,7 @@ func TestHardwareNetworkResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if swErr := re.ErrorRate(ds.TestX, ds.TestY, 64); hwErr > swErr+0.25 {
+	if swErr := re.ErrorRate(ds.TestX, ds.TestY); hwErr > swErr+0.25 {
 		t.Fatalf("hardware residual error %v far above software %v", hwErr, swErr)
 	}
 }
@@ -235,7 +235,7 @@ func TestHardwareNetworkAvgPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if swErr := re.ErrorRate(ds.TestX, ds.TestY, 64); hwErr > swErr+0.3 {
+	if swErr := re.ErrorRate(ds.TestX, ds.TestY); hwErr > swErr+0.3 {
 		t.Fatalf("hardware avg-pool error %v far above software %v", hwErr, swErr)
 	}
 }
@@ -432,7 +432,7 @@ func TestHardwareNetworkRecurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	swErr := re.ErrorRate(ds.TestX, ds.TestY, 64)
+	swErr := re.ErrorRate(ds.TestX, ds.TestY)
 	if hwErr > swErr+0.3 {
 		t.Fatalf("hardware RNN error %v far above software %v", hwErr, swErr)
 	}

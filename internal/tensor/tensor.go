@@ -2,15 +2,12 @@
 // primitives the DNN substrate is built on: matrix multiplication, im2col
 // lowering for convolutions, and simple element-wise kernels.
 //
-// Tensors are row-major and always own their backing storage; views are
-// deliberately not supported so aliasing bugs cannot occur in the training
-// loop. All operations are deterministic.
+// Tensors are row-major. FromSlice wraps a caller's slice without copying;
+// every other constructor and operation returns a tensor with storage of its
+// own. All operations are deterministic.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tensor is a dense row-major float32 tensor.
 type Tensor struct {
@@ -71,15 +68,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Reshape returns a tensor sharing t's data with a new shape of equal size.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	n := checkShape(shape)
-	if n != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.shape, shape))
-	}
-	return &Tensor{shape: append([]int(nil), shape...), data: t.data}
-}
-
 // At returns the element at the given indices.
 func (t *Tensor) At(idx ...int) float32 { return t.data[t.offset(idx)] }
 
@@ -119,14 +107,6 @@ func (t *Tensor) AddInPlace(o *Tensor) {
 	t.mustSameSize(o, "AddInPlace")
 	for i, v := range o.data {
 		t.data[i] += v
-	}
-}
-
-// SubInPlace subtracts o element-wise from t.
-func (t *Tensor) SubInPlace(o *Tensor) {
-	t.mustSameSize(o, "SubInPlace")
-	for i, v := range o.data {
-		t.data[i] -= v
 	}
 }
 
@@ -180,15 +160,6 @@ func (t *Tensor) Min() float32 {
 		}
 	}
 	return m
-}
-
-// L2Norm returns the Euclidean norm of all elements.
-func (t *Tensor) L2Norm() float64 {
-	var s float64
-	for _, v := range t.data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }
 
 // Equal reports whether t and o have identical shape and every element

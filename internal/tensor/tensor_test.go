@@ -68,15 +68,6 @@ func TestAtOutOfRangePanics(t *testing.T) {
 	a.At(2, 0)
 }
 
-func TestReshapeSharesData(t *testing.T) {
-	a := FromSlice([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
-	b := a.Reshape(3, 2)
-	b.Set(99, 0, 1)
-	if a.At(0, 1) != 99 {
-		t.Fatal("Reshape must share storage")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	a := FromSlice([]float32{1, 2}, 2)
 	b := a.Clone()
@@ -96,7 +87,7 @@ func TestElementwiseOps(t *testing.T) {
 			t.Fatalf("AddInPlace[%d] = %v, want %v", i, v, want[i])
 		}
 	}
-	a.SubInPlace(b)
+	a.AxpyInPlace(-1, b)
 	a.ScaleInPlace(2)
 	wantScaled := []float32{2, 4, 6}
 	for i, v := range a.Data() {
@@ -123,9 +114,6 @@ func TestReductions(t *testing.T) {
 	}
 	if m := a.Min(); m != -1 {
 		t.Fatalf("Min = %v, want -1", m)
-	}
-	if n := FromSlice([]float32{3, 4}, 2).L2Norm(); math.Abs(n-5) > 1e-9 {
-		t.Fatalf("L2Norm = %v, want 5", n)
 	}
 }
 
@@ -189,8 +177,9 @@ func TestMatMulTransposeVariants(t *testing.T) {
 	for i := range c.Data() {
 		c.Data()[i] = rng.Float32()*2 - 1
 	}
-	got2 := MatMulTransA(c, b.Reshape(5, 4))
-	want2 := MatMul(Transpose(c), b.Reshape(5, 4))
+	b54 := FromSlice(b.Data(), 5, 4)
+	got2 := MatMulTransA(c, b54)
+	want2 := MatMul(Transpose(c), b54)
 	if !got2.Equal(want2, 1e-5) {
 		t.Fatal("MatMulTransA disagrees with MatMul(cᵀ, b)")
 	}

@@ -163,7 +163,7 @@ func (n *Network) Train(d *Dataset, opt TrainOptions) float64 {
 
 // ErrorRate evaluates the full-precision network on the test split.
 func (n *Network) ErrorRate(d *Dataset) float64 {
-	return n.net.ErrorRate(d.ds.TestX, d.ds.TestY, 64)
+	return n.net.ErrorRate(d.ds.TestX, d.ds.TestY)
 }
 
 // ComposeOptions configures the DNN composer (§3). The zero value is
@@ -287,7 +287,7 @@ func (c *Composed) Tune(maxWeightClusters, maxInputClusters int) (*Composed, err
 	re := composer.NewReinterpreted(c.inner.Net, plans)
 	inner := *c.inner
 	inner.Plans = plans
-	inner.FinalError = re.ErrorRate(c.ds.TestX, c.ds.TestY, 64)
+	inner.FinalError = re.ErrorRate(c.ds.TestX, c.ds.TestY)
 	return &Composed{inner: &inner, ds: c.ds, re: re}, nil
 }
 
