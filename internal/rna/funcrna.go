@@ -103,54 +103,72 @@ func NewFuncRNAShared(dev *device.Params, wcb, ucb []float32,
 // AccumulateBiasScratch runs the weighted-accumulation pipeline — parallel
 // counting (§4.1.1), shift-add expansion of the counts, and NOR-decomposed
 // in-memory addition (§4.1.2) — returning the real-valued pre-activation and
-// the crossbar activity of this evaluation. weightIdx[i] and inputIdx[i] are
-// the codebook indices of edge i; bias is the neuron's fixed-point bias
-// (toFixed at composer.FlatProductFracBits). One pass counts the edges and
-// one over the (w,u) slots they hit reads each distinct product once, so the
-// cost follows the edge count. Count c's shift-add terms sum to c·product
-// and the adder is exact modulo 2^sumWidth, so the sum is accumulated
-// natively and the adder's Stats are priced from its operand count —
-// bit-identical to expanding the terms and adding them (accumulateOracle in
-// the tests). The histogram, all-zero between calls, lives in s, so steady
-// state allocates nothing. The block itself is read-only here: any number of
-// goroutines may evaluate it, each with its own Scratch.
-func (r *FuncRNA) AccumulateBiasScratch(weightIdx, inputIdx []int, bias int64, s *Scratch) (float64, crossbar.Stats) {
-	if len(weightIdx) != len(inputIdx) {
-		panic(fmt.Sprintf("rna: %d weights vs %d inputs", len(weightIdx), len(inputIdx)))
+// the crossbar activity of this evaluation. Edge i reads product
+// wOff[i] + inputIdx[i]: wOff[i] is its weight-codebook index times nU,
+// resolved at lowering, and inputIdx[i] its input-codebook index; bias is the
+// neuron's fixed-point bias (toFixed at composer.FlatProductFracBits). One
+// pass counts the edges and one over the (w,u) slots they hit reads each
+// distinct product once, in first-hit order, so the cost follows the edge
+// count. Count c's shift-add terms sum to c·product and the adder is exact
+// modulo 2^sumWidth, so the sum is accumulated natively and the adder's Stats
+// are priced from its operand count — bit-identical to expanding the terms
+// and adding them (accumulateOracle in the tests). The histogram, all-zero
+// between calls, lives in s, so steady state allocates nothing. The block
+// itself is read-only here: any number of goroutines may evaluate it, each
+// with its own Scratch.
+func (r *FuncRNA) AccumulateBiasScratch(wOff []int32, inputIdx []int, bias int64, s *Scratch) (float64, crossbar.Stats) {
+	if len(wOff) != len(inputIdx) {
+		panic(fmt.Sprintf("rna: %d weights vs %d inputs", len(wOff), len(inputIdx)))
 	}
-	nW, nU := r.nW, r.nU
-	if len(s.counts) < nW*nU {
-		s.counts = make([]int, nW*nU)
+	nU, size := r.nU, r.nW*r.nU
+	if len(s.counts) < size {
+		s.counts = make([]int, size)
 	}
-	// 1. Parallel counting of product occurrences (§4.1.1), listing each slot
-	// the first time an edge hits it.
-	counts, touched := s.counts, s.touched[:0]
-	for i, wi := range weightIdx {
+	if cap(s.touched) < len(wOff) {
+		s.touched = make([]int, len(wOff))
+	}
+	// 1. Parallel counting of product occurrences (§4.1.1). Every edge writes
+	// its slot at the end of the touched list, and the end advances only on
+	// the slot's first hit, so no branch depends on the data.
+	counts, touched, inputIdx := s.counts[:size], s.touched[:len(wOff)], inputIdx[:len(wOff)]
+	k := 0
+	for i, off := range wOff {
 		ui := inputIdx[i]
-		if uint(wi) >= uint(nW) || uint(ui) >= uint(nU) {
+		if uint(off) > uint(size-nU) || uint(ui) >= uint(nU) {
 			clear(counts) // all-zero again for the scratch's next call
-			panic(fmt.Sprintf("rna: edge %d indexes product (%d,%d) outside the %d×%d table", i, wi, ui, nW, nU))
+			panic(fmt.Sprintf("rna: edge %d reads weight offset %d, input %d outside the %d×%d table", i, off, ui, r.nW, nU))
 		}
-		idx := wi*nU + ui
-		if counts[idx] == 0 {
-			touched = append(touched, idx)
-		}
-		counts[idx]++
+		idx := int(off) + ui
+		touched[k] = idx
+		c := counts[idx]
+		counts[idx] = c + 1
+		k -= (c - 1) >> 63 // one more listed slot when c was 0
 	}
-	s.touched = touched
+	touched = touched[:k]
 
 	// 2–3. Shift-add expansion and NOR addition (§4.1.2): each count c of
 	// product p contributes c·p to the sum and Weight(c) terms to the adder.
+	// A pristine block reads its table directly; one with a fault overlay or
+	// parity reads through readProduct.
 	var sum uint32
 	operands := 1 // the bias
-	for _, idx := range touched {
-		c := counts[idx]
-		counts[idx] = 0
-		sum += uint32(c) * uint32(r.readProduct(idx))
-		operands += counting.Weight(c)
+	if r.flt == nil && !r.prot.Parity {
+		products := r.products[:size]
+		for _, idx := range touched {
+			c := counts[idx]
+			counts[idx] = 0
+			sum += uint32(c) * uint32(products[idx])
+			operands += counting.Weight(c)
+		}
+	} else {
+		for _, idx := range touched {
+			c := counts[idx]
+			counts[idx] = 0
+			sum += uint32(c) * uint32(r.readProduct(idx))
+			operands += counting.Weight(c)
+		}
 	}
-	return fromFixed(int64(int32(sum+uint32(bias))), composer.FlatProductFracBits),
-		s.add.Price(r.dev, operands, sumWidth)
+	return fromFixed(int64(int32(sum+uint32(bias))), composer.FlatProductFracBits), s.price(r.dev, operands)
 }
 
 // activate applies the activation stage: an NDCAM table search, or the ReLU

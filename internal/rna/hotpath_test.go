@@ -17,9 +17,19 @@ import (
 // fire evaluates one neuron the way the executor's dense loop does —
 // accumulate, activate, encode — in the caller's scratch, returning the
 // encoded output index and the crossbar activity.
-func fire(r *FuncRNA, wi, ui []int, bias int64, s *Scratch) (int, crossbar.Stats) {
-	pre, st := r.AccumulateBiasScratch(wi, ui, bias, s)
+func fire(r *FuncRNA, wOff []int32, ui []int, bias int64, s *Scratch) (int, crossbar.Stats) {
+	pre, st := r.AccumulateBiasScratch(wOff, ui, bias, s)
 	return r.encodeValue(r.activate(pre, s), s), st
+}
+
+// offsets resolves weight-codebook indices into the row offsets the kernel
+// reads, the way lowering does: each index times the block's nU.
+func offsets(r *FuncRNA, wi []int) []int32 {
+	off := make([]int32, len(wi))
+	for i, w := range wi {
+		off[i] = int32(w * r.nU)
+	}
+	return off
 }
 
 // accumulateOracle is the neuron accumulation spelled out stage by stage, the
@@ -90,7 +100,7 @@ func TestAccumulateMatchesOracle(t *testing.T) {
 		nW, nU := dims(trial)
 		r, wi, ui := randomNeuron(rng, nW, nU, rng.Intn(2049))
 		b := bias()
-		pre, st := r.AccumulateBiasScratch(wi, ui, b, s)
+		pre, st := r.AccumulateBiasScratch(offsets(r, wi), ui, b, s)
 		wantPre, wantSt := accumulateOracle(r, wi, ui, b)
 		if pre != wantPre || st != wantSt {
 			t.Fatalf("trial %d (%d×%d, %d edges): fused %v %+v, oracle %v %+v",
@@ -112,7 +122,7 @@ func TestAccumulateMatchesOracle(t *testing.T) {
 		r.injectFaults(cfg, rand.New(rand.NewSource(seed)), &cnt)
 		twin.injectFaults(cfg, rand.New(rand.NewSource(seed)), &twinCnt)
 		b := bias()
-		pre, st := r.AccumulateBiasScratch(wi, ui, b, s)
+		pre, st := r.AccumulateBiasScratch(offsets(r, wi), ui, b, s)
 		wantPre, wantSt := accumulateOracle(twin, wi, ui, b)
 		if pre != wantPre || st != wantSt {
 			t.Fatalf("faulty trial %d (%d×%d, %d edges): fused %v %+v, oracle %v %+v",
@@ -144,10 +154,10 @@ func TestAccumulatePanicLeavesScratchClean(t *testing.T) {
 					t.Fatalf("edge %v on a 16×16 table did not panic", bad)
 				}
 			}()
-			r.AccumulateBiasScratch(append(wi[:40:40], bad[0]), append(ui[:40:40], bad[1]), 0, s)
+			r.AccumulateBiasScratch(offsets(r, append(wi[:40:40], bad[0])), append(ui[:40:40], bad[1]), 0, s)
 		}()
-		pre, st := r.AccumulateBiasScratch(wi, ui, 5, s)
-		wantPre, wantSt := r.AccumulateBiasScratch(wi, ui, 5, NewScratch())
+		pre, st := r.AccumulateBiasScratch(offsets(r, wi), ui, 5, s)
+		wantPre, wantSt := r.AccumulateBiasScratch(offsets(r, wi), ui, 5, NewScratch())
 		if pre != wantPre || st != wantSt {
 			t.Fatalf("after the %v panic: reused scratch %v %+v, fresh %v %+v", bad, pre, st, wantPre, wantSt)
 		}
@@ -237,8 +247,8 @@ func TestScratchReuseBitIdentical(t *testing.T) {
 		}
 		bias := int64(rng.Intn(1<<12) - 1<<11)
 
-		enc1, st1 := fire(r, wi, ui, bias, NewScratch())
-		enc2, st2 := fire(r, wi, ui, bias, reused)
+		enc1, st1 := fire(r, offsets(r, wi), ui, bias, NewScratch())
+		enc2, st2 := fire(r, offsets(r, wi), ui, bias, reused)
 		if enc1 != enc2 {
 			t.Fatalf("trial %d: results diverge: fresh %d, reused %d", trial, enc1, enc2)
 		}
@@ -246,8 +256,8 @@ func TestScratchReuseBitIdentical(t *testing.T) {
 			t.Fatalf("trial %d: stats diverge: fresh %+v, reused %+v", trial, st1, st2)
 		}
 
-		pre0, _ := r.AccumulateBiasScratch(wi, ui, bias, NewScratch())
-		pre1, _ := r.AccumulateBiasScratch(wi, ui, bias, reused)
+		pre0, _ := r.AccumulateBiasScratch(offsets(r, wi), ui, bias, NewScratch())
+		pre1, _ := r.AccumulateBiasScratch(offsets(r, wi), ui, bias, reused)
 		if pre0 != pre1 {
 			t.Fatalf("trial %d: pre-activation diverges: fresh %v, reused scratch %v", trial, pre0, pre1)
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -63,30 +64,40 @@ type hwLayer struct {
 	// traced path formats nothing per input.
 	traceName string
 
-	// Compute layers: one functional RNA per codebook group (all neurons of
-	// a group share tables; their per-edge weight indices differ).
-	rnas []*FuncRNA
-	// weightIdx[n][i] is the weight-codebook index of neuron n's edge i;
-	// edgeOf[n][i] is the input-feature position edge i reads. Both are
-	// views into one flat backing array per layer (see flattenRows), so a
-	// layer's neurons read contiguous stride-indexed memory instead of
-	// chasing one heap object per neuron.
-	weightIdx [][]int
-	edgeOf    [][]int
-	groupOf   []int // codebook group per neuron
-	// biasFixed is each neuron's bias in the product tables' fixed-point
-	// format, passed straight to AccumulateBiasScratch.
+	// Compute layers (dense, conv, recurrent) are lowered into one layout:
+	// len(chanGroup) output channels over len(tapEnd) positions, neuron
+	// n = ch·positions + p. rnas holds one functional RNA per codebook group
+	// (all channels of a group share tables); chanGroup and biasFixed are per
+	// channel, the bias in the product tables' fixed-point format.
+	rnas      []*FuncRNA
+	chanGroup []int
 	biasFixed []int64
-	isLogit   bool
+	// Positions with the same in-bounds taps share a border class;
+	// wOff[ch·classes + classOf[p]] is channel ch's weight-offset row over
+	// them, each tap's weight-codebook index times nU. A conv layer's taps
+	// hold every position's input positions in (c, ky, kx) order, position
+	// p's ending at tapEnd[p]; a dense or recurrent layer has one position
+	// whose window is its whole input, so taps is nil and nothing is
+	// gathered.
+	wOff    [][]int32
+	classOf []int32
+	taps    []int32
+	tapEnd  []int32
+	isLogit bool
 
-	// Pooling layers.
-	poolWindows [][]int // input positions per output
-	poolAvg     bool
-	poolCB      []float32 // codebook the pooled values are encoded with
+	// Pooling layers: output n reads poolIn[n·poolK : (n+1)·poolK]. A
+	// max-pool window's CAM activity is the same for every window, so it is
+	// priced once at lowering.
+	poolIn    []int32
+	poolK     int
+	poolAvg   bool
+	poolCB    []float32 // codebook the pooled values are encoded with
+	poolStats crossbar.Stats
 
 	// Recurrent layers (§4.3): the hidden state re-enters through the input
 	// FIFO, re-encoded onto the layer's own codebook by rnnLoop; the final
-	// step encodes onto the consumer codebook through rnas[0].
+	// step encodes onto the consumer codebook through rnas[0]. Hidden neuron
+	// j's row wOff[j] covers the In frame taps and then the H state taps.
 	rnnIn, rnnH, rnnSteps int
 	rnnLoop               *FuncRNA
 }
@@ -121,7 +132,7 @@ func BuildHardwareNetwork(qnet *nn.Network, plans []*composer.LayerPlan, dev dev
 		case *nn.Recurrent:
 			hl = buildRecurrentHW(t, p, next, &h.dev)
 		case *nn.Pool2D:
-			hl = buildPoolHW(t, p, next)
+			hl = buildPoolHW(t, p, next, &h.dev)
 		case *nn.Dropout:
 			continue // identity at inference; no hardware
 		default:
@@ -170,122 +181,90 @@ func nextCodebook(plans []*composer.LayerPlan, i int) []float32 {
 // format, the form AccumulateBiasScratch adds it in.
 func fixedBias(b float32) int64 { return toFixed(float64(b), composer.FlatProductFracBits) }
 
-// flattenRows carves n rows of uniform width w out of one flat backing
-// array: the SoA layout of the per-neuron edge tables. Full-capacity slicing
-// keeps a row from ever growing into its neighbour.
-func flattenRows(n, w int) [][]int {
-	backing := make([]int, n*w)
-	rows := make([][]int, n)
-	for i := range rows {
-		rows[i] = backing[i*w : (i+1)*w : (i+1)*w]
+// newComputeLayer lowers the parts every compute layer shares: one RNA per
+// codebook group, configured with the group's product table, per-channel
+// biases, and a weight-offset row of widths[cls] taps for every (channel,
+// border class). It leaves the layer one position of class 0, whose window
+// is the whole input; the caller fills the rows and biases.
+func newComputeLayer(p *composer.LayerPlan, next []float32, dev *device.Params, chans int, widths []int) *hwLayer {
+	hl := &hwLayer{kind: p.Kind, plan: p, chanGroup: make([]int, chans), biasFixed: make([]int64, chans),
+		classOf: []int32{0}, tapEnd: []int32{int32(widths[0])}}
+	for g, wcb := range p.WeightCodebooks {
+		hl.rnas = append(hl.rnas, NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, p.ActTable == nil, next, p.ProductTable(g)))
 	}
-	return rows
+	for range chans {
+		for _, w := range widths {
+			hl.wOff = append(hl.wOff, make([]int32, w))
+		}
+	}
+	return hl
 }
 
 func buildDenseHW(t *nn.Dense, p *composer.LayerPlan, next []float32, dev *device.Params) *hwLayer {
-	wcb := p.WeightCodebooks[0]
-	relu := p.ActTable == nil
-	rna := NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, relu, next, p.ProductTable(0))
-	hl := &hwLayer{kind: p.Kind, plan: p, skip: t.Skip, rnas: []*FuncRNA{rna}}
 	in, out := t.InSize(), t.OutSize()
-	hl.weightIdx = flattenRows(out, in)
-	hl.edgeOf = flattenRows(out, in)
-	hl.groupOf = make([]int, out)
-	hl.biasFixed = make([]int64, out)
-	for n := 0; n < out; n++ {
+	hl := newComputeLayer(p, next, dev, out, []int{in})
+	hl.skip = t.Skip
+	wcb, nU := p.WeightCodebooks[0], len(p.InputCodebook)
+	for n, row := range hl.wOff {
 		hl.biasFixed[n] = fixedBias(t.B.Value.At(0, n))
-		wi := hl.weightIdx[n]
-		ei := hl.edgeOf[n]
-		for i := 0; i < in; i++ {
-			wi[i] = cluster.Assign(wcb, t.W.Value.At(i, n))
-			ei[i] = i
+		for i := range row {
+			row[i] = int32(cluster.Assign(wcb, t.W.Value.At(i, n)) * nU)
 		}
 	}
 	return hl
 }
 
 func buildConvHW(t *nn.Conv2D, p *composer.LayerPlan, next []float32, dev *device.Params) *hwLayer {
-	hl := &hwLayer{kind: p.Kind, plan: p, skip: t.Skip}
-	relu := p.ActTable == nil
-	// One functional RNA per codebook group.
-	hl.rnas = make([]*FuncRNA, len(p.WeightCodebooks))
-	for g, wcb := range p.WeightCodebooks {
-		hl.rnas[g] = NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, relu, next, p.ProductTable(g))
-	}
 	g := t.Geom
-	outH, outW := g.OutH(), g.OutW()
-	k := g.InC * g.KH * g.KW
-	neurons := t.OutC * outH * outW
-	hl.weightIdx = make([][]int, neurons)
-	hl.edgeOf = make([][]int, neurons)
-	hl.groupOf = make([]int, neurons)
-	hl.biasFixed = make([]int64, neurons)
-	// SoA pass 1: count each spatial window's in-bounds taps (independent of
-	// the channel), so the per-neuron edge lists can share one flat backing
-	// array instead of allocating per neuron.
-	winEdges := make([]int, outH*outW)
-	total := 0
-	for oy := 0; oy < outH; oy++ {
-		for ox := 0; ox < outW; ox++ {
-			cnt := 0
-			for ky := 0; ky < g.KH; ky++ {
-				iy := oy*g.Stride + ky - g.Pad
-				if iy < 0 || iy >= g.InH {
-					continue
-				}
-				for kx := 0; kx < g.KW; kx++ {
-					if ix := ox*g.Stride + kx - g.Pad; ix >= 0 && ix < g.InW {
-						cnt++
+	// span is the kernel offsets [lo, hi) at output coordinate o that land
+	// inside an input extent of n (zero padding produces no tap at all).
+	span := func(o, k, n int) (int, int) {
+		lo := max(0, g.Pad-o*g.Stride)
+		return lo, max(lo, min(k, n+g.Pad-o*g.Stride))
+	}
+	// A border class is the tap rectangle its positions keep; each position
+	// lists its window's input positions once, shared by every channel.
+	type class struct{ y0, y1, x0, x1 int }
+	var classes []class
+	var widths []int
+	var classOf, taps, tapEnd []int32
+	for oy := 0; oy < g.OutH(); oy++ {
+		y0, y1 := span(oy, g.KH, g.InH)
+		for ox := 0; ox < g.OutW(); ox++ {
+			x0, x1 := span(ox, g.KW, g.InW)
+			key := class{y0, y1, x0, x1}
+			cls := slices.Index(classes, key)
+			if cls < 0 {
+				cls = len(classes)
+				classes = append(classes, key)
+				widths = append(widths, g.InC*(y1-y0)*(x1-x0))
+			}
+			classOf = append(classOf, int32(cls))
+			for c := 0; c < g.InC; c++ {
+				for ky := y0; ky < y1; ky++ {
+					for kx := x0; kx < x1; kx++ {
+						taps = append(taps, int32((c*g.InH+oy*g.Stride+ky-g.Pad)*g.InW+ox*g.Stride+kx-g.Pad))
 					}
 				}
 			}
-			winEdges[oy*outW+ox] = cnt * g.InC
-			total += cnt * g.InC
+			tapEnd = append(tapEnd, int32(len(taps)))
 		}
 	}
-	wiAll := make([]int, 0, total*t.OutC)
-	eiAll := make([]int, 0, total*t.OutC)
-	off := 0
-	for ch := 0; ch < t.OutC; ch++ {
-		book := p.ChannelCodebook[ch]
-		wcb := p.WeightCodebooks[book]
-		bias := fixedBias(t.B.Value.At(0, ch))
-		// Weight indices are shared by every position of the channel.
-		wi := make([]int, k)
-		for i := 0; i < k; i++ {
-			wi[i] = cluster.Assign(wcb, t.W.Value.At(ch, i))
-		}
-		for oy := 0; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
-				n := ch*outH*outW + oy*outW + ox
-				hl.groupOf[n] = book
-				hl.biasFixed[n] = bias
-				// Gather the window's input positions into this neuron's
-				// full-capacity view of the flat arrays; out-of-bounds taps
-				// produce no edge at all (zero pad).
-				nb := winEdges[oy*outW+ox]
-				wiN := wiAll[off : off : off+nb]
-				eiN := eiAll[off : off : off+nb]
-				off += nb
-				for c := 0; c < g.InC; c++ {
-					for ky := 0; ky < g.KH; ky++ {
-						iy := oy*g.Stride + ky - g.Pad
-						if iy < 0 || iy >= g.InH {
-							continue
-						}
-						for kx := 0; kx < g.KW; kx++ {
-							ix := ox*g.Stride + kx - g.Pad
-							if ix < 0 || ix >= g.InW {
-								continue
-							}
-							idx := c*g.KH*g.KW + ky*g.KW + kx
-							eiN = append(eiN, c*g.InH*g.InW+iy*g.InW+ix)
-							wiN = append(wiN, wi[idx])
-						}
+	hl := newComputeLayer(p, next, dev, t.OutC, widths)
+	hl.skip, hl.classOf, hl.taps, hl.tapEnd = t.Skip, classOf, taps, tapEnd
+	nU := len(p.InputCodebook)
+	for ch := range t.OutC {
+		hl.chanGroup[ch] = p.ChannelCodebook[ch]
+		hl.biasFixed[ch] = fixedBias(t.B.Value.At(0, ch))
+		wcb := p.WeightCodebooks[hl.chanGroup[ch]]
+		for cls, k := range classes {
+			row := hl.wOff[ch*len(classes)+cls][:0] // filled in place
+			for c := 0; c < g.InC; c++ {
+				for ky := k.y0; ky < k.y1; ky++ {
+					for kx := k.x0; kx < k.x1; kx++ {
+						row = append(row, int32(cluster.Assign(wcb, t.W.Value.At(ch, (c*g.KH+ky)*g.KW+kx))*nU))
 					}
 				}
-				hl.weightIdx[n] = wiN
-				hl.edgeOf[n] = eiN
 			}
 		}
 	}
@@ -293,53 +272,37 @@ func buildConvHW(t *nn.Conv2D, p *composer.LayerPlan, next []float32, dev *devic
 }
 
 func buildRecurrentHW(t *nn.Recurrent, p *composer.LayerPlan, next []float32, dev *device.Params) *hwLayer {
-	wcb, products := p.WeightCodebooks[0], p.ProductTable(0)
-	relu := p.ActTable == nil
-	hl := &hwLayer{
-		kind: p.Kind, plan: p,
-		rnnIn: t.In, rnnH: t.H, rnnSteps: t.Steps,
-		// rnas[0] encodes the final hidden state for the consumer; rnnLoop
-		// re-encodes intermediate states onto the layer's own codebook. Both
-		// share the (wcb, ucb) pair, so one product table serves both.
-		rnas:    []*FuncRNA{NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, relu, next, products)},
-		rnnLoop: NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, relu, p.InputCodebook, products),
-	}
-	// Per hidden neuron j: In edges from the frame (Wx column j) followed by
-	// H edges from the fed-back state (Wh column j), SoA-packed like the
-	// feed-forward layers.
-	hl.weightIdx = flattenRows(t.H, t.In+t.H)
-	hl.groupOf = make([]int, t.H)
-	hl.biasFixed = make([]int64, t.H)
-	for j := 0; j < t.H; j++ {
+	hl := newComputeLayer(p, next, dev, t.H, []int{t.In + t.H})
+	hl.rnnIn, hl.rnnH, hl.rnnSteps = t.In, t.H, t.Steps
+	// rnas[0] encodes the final hidden state for the consumer; rnnLoop
+	// re-encodes intermediate states onto the layer's own codebook. Both
+	// share the (wcb, ucb) pair, so one product table serves both.
+	wcb, nU := p.WeightCodebooks[0], len(p.InputCodebook)
+	hl.rnnLoop = NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, p.ActTable == nil, p.InputCodebook, hl.rnas[0].products)
+	for j, row := range hl.wOff {
 		hl.biasFixed[j] = fixedBias(t.B.Value.At(0, j))
-		wi := hl.weightIdx[j]
 		for i := 0; i < t.In; i++ {
-			wi[i] = cluster.Assign(wcb, t.Wx.Value.At(i, j))
+			row[i] = int32(cluster.Assign(wcb, t.Wx.Value.At(i, j)) * nU)
 		}
 		for k := 0; k < t.H; k++ {
-			wi[t.In+k] = cluster.Assign(wcb, t.Wh.Value.At(k, j))
+			row[t.In+k] = int32(cluster.Assign(wcb, t.Wh.Value.At(k, j)) * nU)
 		}
 	}
 	return hl
 }
 
-func buildPoolHW(t *nn.Pool2D, p *composer.LayerPlan, next []float32) *hwLayer {
-	hl := &hwLayer{kind: p.Kind, plan: p, poolAvg: t.Kind == nn.AvgPool, poolCB: next}
+func buildPoolHW(t *nn.Pool2D, p *composer.LayerPlan, next []float32, dev *device.Params) *hwLayer {
 	g := t.Geom
-	outH, outW := g.OutH(), g.OutW()
-	// Pooling windows are uniform (no padding), so they SoA-pack directly.
-	hl.poolWindows = flattenRows(g.InC*outH*outW, g.KH*g.KW)
-	n := 0
+	k := g.KH * g.KW
+	hl := &hwLayer{kind: p.Kind, plan: p, poolK: k, poolAvg: t.Kind == nn.AvgPool, poolCB: next, poolStats: poolCAMStats(*dev, k)}
+	// Pooling windows are uniform (no padding), so they pack back to back.
+	hl.poolIn = make([]int32, 0, t.OutSize()*k)
 	for c := 0; c < g.InC; c++ {
-		for oy := 0; oy < outH; oy++ {
-			for ox := 0; ox < outW; ox++ {
-				win := hl.poolWindows[n]
-				n++
-				i := 0
+		for oy := 0; oy < g.OutH(); oy++ {
+			for ox := 0; ox < g.OutW(); ox++ {
 				for ky := 0; ky < g.KH; ky++ {
 					for kx := 0; kx < g.KW; kx++ {
-						win[i] = c*g.InH*g.InW + (oy*g.Stride+ky)*g.InW + ox*g.Stride + kx
-						i++
+						hl.poolIn = append(hl.poolIn, int32((c*g.InH+oy*g.Stride+ky)*g.InW+ox*g.Stride+kx))
 					}
 				}
 			}
@@ -450,16 +413,16 @@ func (h *HardwareNetwork) inferOne(x []float32, s *Scratch) (int, crossbar.Stats
 				hState[j] = zeroIdx
 			}
 			for step := 0; step < hl.rnnSteps; step++ {
-				frame := enc[step*hl.rnnIn : (step+1)*hl.rnnIn]
-				last := step == hl.rnnSteps-1
-				for j := 0; j < hl.rnnH; j++ {
-					r := hl.rnnLoop
-					if last {
-						r = hl.rnas[0]
-					}
-					copy(feed, frame)
-					copy(feed[hl.rnnIn:], hState)
-					pre, st := r.AccumulateBiasScratch(hl.weightIdx[j], feed, hl.biasFixed[j], s)
+				// Neither the frame nor the state changes within a step, so
+				// every hidden neuron of the step reads one feed.
+				copy(feed, enc[step*hl.rnnIn:(step+1)*hl.rnnIn])
+				copy(feed[hl.rnnIn:], hState)
+				r := hl.rnnLoop
+				if step == hl.rnnSteps-1 {
+					r = hl.rnas[0]
+				}
+				for j := range hNext {
+					pre, st := r.AccumulateBiasScratch(hl.wOff[j], feed, hl.biasFixed[j], s)
 					stats = addStats(stats, st)
 					hNext[j] = r.encodeValue(r.activate(pre, s), s)
 				}
@@ -473,11 +436,11 @@ func (h *HardwareNetwork) inferOne(x []float32, s *Scratch) (int, crossbar.Stats
 			// values in memory; the division by the window size is normalized
 			// into the weights offline, so here it is a fixed reciprocal
 			// multiply; the result re-encodes through the AM.
-			nxt = resizeInts(nxt, len(hl.poolWindows))
-			inv := 1.0 / float64(len(hl.poolWindows[0]))
-			for n, win := range hl.poolWindows {
+			nxt = resizeInts(nxt, len(hl.poolIn)/hl.poolK)
+			inv := 1.0 / float64(hl.poolK)
+			for n := range nxt {
 				addends := s.addends[:0]
-				for _, pos := range win {
+				for _, pos := range hl.poolIn[n*hl.poolK : (n+1)*hl.poolK] {
 					addends = append(addends, uint64(toFixed(float64(hl.poolCB[enc[pos]]), composer.FlatProductFracBits))&math.MaxUint32)
 				}
 				s.addends = addends
@@ -492,40 +455,55 @@ func (h *HardwareNetwork) inferOne(x []float32, s *Scratch) (int, crossbar.Stats
 			// encoder NDCAM search in hardware (§4.2.1). The window's
 			// substrate activity — refilling the pooling CAM plus one search —
 			// is charged per window so pooling-layer work reaches the totals.
-			nxt = resizeInts(nxt, len(hl.poolWindows))
-			for n, win := range hl.poolWindows {
+			nxt = resizeInts(nxt, len(hl.poolIn)/hl.poolK)
+			for n := range nxt {
+				win := hl.poolIn[n*hl.poolK : (n+1)*hl.poolK]
 				top := enc[win[0]]
 				for _, pos := range win[1:] {
-					if enc[pos] > top {
-						top = enc[pos]
-					}
+					top = max(top, enc[pos])
 				}
 				nxt[n] = top
-				stats = addStats(stats, poolCAMStats(h.dev, len(win)))
+				stats = addStats(stats, hl.poolStats)
 			}
 		default:
-			// Dense and conv neurons. The logit layer, always the last one,
-			// keeps its raw fixed-point sums for the argmax comparator; every
-			// other layer activates and encodes onto its consumer's codebook.
-			inCB := hl.plan.InputCodebook
-			nxt = resizeInts(nxt, len(hl.weightIdx))
-			for n := range hl.weightIdx {
-				r := hl.rnas[hl.groupOf[n]]
-				pre, st := r.AccumulateBiasScratch(hl.weightIdx[n], gatherInto(&s.gather, enc, hl.edgeOf[n]), hl.biasFixed[n], s)
-				stats = addStats(stats, st)
-				if hl.isLogit {
-					if pre > bestV {
-						best, bestV = n, pre
+			// Dense and conv neurons, channel-major: neuron n = ch·positions
+			// + p reads position p's window through the weight-offset row of
+			// its border class for channel ch. A conv layer gathers all its
+			// windows once per input; a dense layer's one window is enc. The
+			// logit layer, always the last one, keeps its raw fixed-point sums
+			// for the argmax comparator; every other layer activates and
+			// encodes onto its consumer's codebook.
+			in := enc
+			if hl.taps != nil {
+				in = resizeInts(s.gather, len(hl.taps))
+				for i, pos := range hl.taps {
+					in[i] = enc[pos]
+				}
+				s.gather = in
+			}
+			inCB, classes := hl.plan.InputCodebook, len(hl.wOff)/len(hl.chanGroup)
+			nxt = resizeInts(nxt, len(hl.chanGroup)*len(hl.tapEnd))
+			for ch, group := range hl.chanGroup {
+				r, bias, rows := hl.rnas[group], hl.biasFixed[ch], hl.wOff[ch*classes:(ch+1)*classes]
+				lo := int32(0)
+				for p, hi := range hl.tapEnd {
+					pre, st := r.AccumulateBiasScratch(rows[hl.classOf[p]], in[lo:hi], bias, s)
+					n := ch*len(hl.tapEnd) + p
+					lo = hi
+					stats = addStats(stats, st)
+					switch {
+					case hl.isLogit:
+						if pre > bestV {
+							best, bestV = n, pre
+						}
+					case hl.skip:
+						// Residual: the skipped encoded input re-enters through
+						// the input FIFO and adds before encoding (§4.3).
+						nxt[n] = r.encodeValue(r.activate(pre, s)+float64(inCB[enc[n]]), s)
+					default:
+						nxt[n] = r.encodeValue(r.activate(pre, s), s)
 					}
-					continue
 				}
-				z := r.activate(pre, s)
-				if hl.skip {
-					// Residual: the skipped encoded input re-enters through
-					// the input FIFO and adds before encoding (§4.3).
-					z += float64(inCB[enc[n]])
-				}
-				nxt[n] = r.encodeValue(z, s)
 			}
 		}
 		enc, nxt = nxt, enc
@@ -698,18 +676,6 @@ func (h *HardwareNetwork) ErrorRate(x *tensor.Tensor, labels []int) (float64, er
 		}
 	}
 	return float64(wrong) / float64(n), nil
-}
-
-// gatherInto fills the caller's reusable buffer with enc at the given
-// positions — the per-neuron edge gather, allocation-free once the buffer
-// has grown to the widest edge list.
-func gatherInto(buf *[]int, enc []int, pos []int) []int {
-	out := resizeInts(*buf, len(pos))
-	for i, p := range pos {
-		out[i] = enc[p]
-	}
-	*buf = out
-	return out
 }
 
 func addStats(a, b crossbar.Stats) crossbar.Stats {

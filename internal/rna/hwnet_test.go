@@ -11,6 +11,7 @@ import (
 	"repro/internal/crossbar"
 	"repro/internal/dataset"
 	"repro/internal/fault"
+	"repro/internal/model"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -309,10 +310,12 @@ func TestInferBatchMatchesSerialInfer(t *testing.T) {
 
 // BenchmarkHardwareInferBatch measures the hardware-in-the-loop batch at
 // 1, 2 and GOMAXPROCS workers (each count once), on a dense net (the
-// workers=N rungs) and on a conv + max-pool + dense net (conv/workers=N),
-// whose conv neurons own most of a hardware run. The wall time should fall
-// as workers rise toward GOMAXPROCS while TestInferBatchMatchesSerialInfer
-// pins the results.
+// workers=N rungs), on a conv + max-pool + dense net (conv/workers=N), whose
+// conv neurons own most of a hardware run, and on the untrained reduced
+// CIFAR conv net of the end-to-end bulk-conv workload (cifar/workers=N), so
+// a change to the conv kernel can be sized in-process. The wall time should
+// fall as workers rise toward GOMAXPROCS while
+// TestInferBatchMatchesSerialInfer pins the results.
 func BenchmarkHardwareInferBatch(b *testing.B) {
 	ds := dataset.Generate(dataset.Config{
 		Name: "hwbench", NumClasses: 4, InputShape: []int{20},
@@ -352,6 +355,19 @@ func BenchmarkHardwareInferBatch(b *testing.B) {
 	}
 	cbatch := tensor.FromSlice(cx, cn, chw.InSize())
 
+	// The cifar rung: bulk-conv's layer shapes (conv, pool, conv, conv,
+	// dense, dense on 3×32×32 inputs) on synthetic 16×16 codebooks, 16 rows.
+	cifar := model.ConvNet("CIFAR-10", 3, 32, 32, 10, 0.125, 50)
+	fhw, err := BuildHardwareNetwork(cifar, composer.SyntheticPlans(cifar, 16, 16, 16), dev())
+	if err != nil {
+		b.Fatal(err)
+	}
+	fx := make([]float32, cn*fhw.InSize())
+	for i := range fx {
+		fx[i] = 2*rng.Float32() - 1
+	}
+	fbatch := tensor.FromSlice(fx, cn, fhw.InSize())
+
 	counts := []int{1, 2}
 	if p := runtime.GOMAXPROCS(0); p > 2 {
 		counts = append(counts, p)
@@ -374,6 +390,10 @@ func BenchmarkHardwareInferBatch(b *testing.B) {
 	for _, workers := range counts {
 		chw.Workers = workers
 		rung(fmt.Sprintf("conv/workers=%d", workers), chw, cbatch, cn)
+	}
+	for _, workers := range counts {
+		fhw.Workers = workers
+		rung(fmt.Sprintf("cifar/workers=%d", workers), fhw, fbatch, cn)
 	}
 }
 

@@ -210,7 +210,7 @@ func TestFuncRNAMatchesSoftware(t *testing.T) {
 		zSW := float64(tab.Eval(float32(pre)))
 		encSW := cluster.Assign(next, float32(zSW))
 
-		encHW, _ := fire(r, wi, ui, toFixed(float64(bias), 16), NewScratch())
+		encHW, _ := fire(r, offsets(r, wi), ui, toFixed(float64(bias), 16), NewScratch())
 		valHW := next[encHW]
 		if encHW == encSW {
 			exact++
@@ -242,7 +242,7 @@ func TestFuncRNAReLUComparator(t *testing.T) {
 	wi := []int{0, 0, 0, 0}
 	ui := []int{3, 3, 3, 3}
 	if wcb[0] < 0 && ucb[3] > 0 {
-		enc, _ := fire(r, wi, ui, 0, NewScratch())
+		enc, _ := fire(r, offsets(r, wi), ui, 0, NewScratch())
 		if val := next[enc]; enc != 0 || val != 0 {
 			t.Fatalf("negative pre-activation must encode to 0, got idx %d val %v", enc, val)
 		}
@@ -260,7 +260,7 @@ func TestFuncRNAChargesSubstrateWork(t *testing.T) {
 	for i := range wi {
 		wi[i], ui[i] = rng.Intn(8), rng.Intn(8)
 	}
-	if _, st := fire(r, wi, ui, toFixed(0.1, 16), NewScratch()); st.NORs == 0 || st.EnergyJ == 0 {
+	if _, st := fire(r, offsets(r, wi), ui, toFixed(0.1, 16), NewScratch()); st.NORs == 0 || st.EnergyJ == 0 {
 		t.Fatal("a neuron fire must accrue crossbar NOR work")
 	}
 }
@@ -290,7 +290,7 @@ func TestFuncRNAValidation(t *testing.T) {
 		func() { NewFuncRNAShared(devPtr(), []float32{1}, []float32{1}, nil, true, []float32{1}, nil) },
 		func() {
 			r := NewFuncRNAShared(devPtr(), []float32{1}, []float32{1}, nil, true, []float32{1}, []int64{1})
-			r.AccumulateBiasScratch([]int{0}, []int{0, 1}, 0, NewScratch())
+			r.AccumulateBiasScratch([]int32{0}, []int{0, 1}, 0, NewScratch())
 		},
 	} {
 		func() {

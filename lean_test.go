@@ -14,23 +14,18 @@ import (
 // leanAllowlist names the exported functions and methods under internal/
 // that no non-test code references, each with the reason it stays.
 var leanAllowlist = map[string]string{
-	"counting.Apply":                       "test oracle: evaluates a shift-add decomposition for the counting tests",
-	"counting.Decompose":                   "test oracle: the NAF expansion the counting and rna hot-path tests check Weight against",
-	"counting.ParallelCount":               "test oracle: the cycle-level counter model the histogram kernels are checked against",
-	"tensor.Transpose":                     "test oracle: the explicit transpose MatMulTransA/B are checked against",
-	"tensor.MatMulInto":                    "the buffer-reusing matmul a per-call scratch forward needs (ROADMAP item 7); TestMatMulInto pins it",
-	"(*tensor.Tensor).Equal":               "cross-package test fixture: tolerance comparison in the tensor, nn, dataset and composer tests",
-	"(*tensor.Tensor).Fill":                "cross-package test fixture: constant inputs in the tensor and nn tests",
-	"nn.NewResidualDense":                  "cross-package test fixture: the residual recipe of the nn, composer and rna tests",
-	"bench.OpenLoop":                       "single-class OpenLoopTagged that serve's BenchmarkServeBatching and the loadgen tests drive",
-	"(*composer.Composed).Mapped":          "cross-package test probe: composer, rna and serve tests assert a model is mmap-backed",
-	"(*isaac.Report).ADCAreaShare":         "paper-claim check: the isaac tests assert converters dominate analog PIM area (§1)",
-	"(*rollout.Registry).Push":             "the registry's validated publish path; no command exposes it yet, the registry and rollout tests publish through it",
-	"device.DefaultGeometry":               "validation oracle: the NVSim-style estimator cross-validates Table 1 in tests (§5.1)",
-	"device.Geometry.CrossValidate":        "validation oracle: the NVSim-style estimator cross-validates Table 1 in tests (§5.1)",
-	"device.Geometry.CrossbarReadEnergyJ":  "validation oracle: the NVSim-style estimator's energy scaling, checked in tests (§5.1)",
-	"device.Geometry.CrossbarWriteEnergyJ": "validation oracle: the NVSim-style estimator's energy scaling, checked in tests (§5.1)",
-	"device.Geometry.ScaleToNode":          "validation oracle: the NVSim-style estimator's node scaling, checked in tests (§5.1)",
+	"counting.Apply":               "test oracle: evaluates a shift-add decomposition for the counting tests",
+	"counting.Decompose":           "test oracle: the NAF expansion the counting and rna hot-path tests check Weight against",
+	"counting.ParallelCount":       "test oracle: the cycle-level counter model the histogram kernels are checked against",
+	"tensor.Transpose":             "test oracle: the explicit transpose MatMulTransA/B are checked against",
+	"tensor.MatMulInto":            "the buffer-reusing matmul a per-call scratch forward needs (ROADMAP item 7); TestMatMulInto pins it",
+	"(*tensor.Tensor).Equal":       "cross-package test fixture: tolerance comparison in the tensor, nn, dataset and composer tests",
+	"(*tensor.Tensor).Fill":        "cross-package test fixture: constant inputs in the tensor and nn tests",
+	"nn.NewResidualDense":          "cross-package test fixture: the residual recipe of the nn, composer and rna tests",
+	"bench.OpenLoop":               "single-class OpenLoopTagged that serve's BenchmarkServeBatching and the loadgen tests drive",
+	"(*composer.Composed).Mapped":  "cross-package test probe: composer, rna and serve tests assert a model is mmap-backed",
+	"(*isaac.Report).ADCAreaShare": "paper-claim check: the isaac tests assert converters dominate analog PIM area (§1)",
+	"(*rollout.Registry).Push":     "the registry's validated publish path; no command exposes it yet, the registry and rollout tests publish through it",
 }
 
 // TestInternalExportsAreReferenced is the lean guard: every exported function
