@@ -63,14 +63,14 @@ bench-serve:
 	go test -run '^$$' -bench BenchmarkServeBatching -benchtime 2000x ./internal/serve/
 
 # Hot-path microbenchmarks with allocation counts: the neuron fire, the
-# in-memory adder, the NDCAM search, batched hardware inference, the serve
-# round-trip, and artifact cold start (RAPIDNN2 mmap). BENCH_PR9.json pins
+# NDCAM search, batched hardware inference, the serve round-trip, and
+# artifact cold start (RAPIDNN2 mmap). BENCH_PR9.json pins
 # the expected numbers; bench-compare re-runs this set and fails on
 # regression. (BENCH_PR4.json stays committed as the pre-bit-slicing
 # trajectory point.) Regenerate the baseline with bench-hot piped through
 # rapidnn-benchstat -before/-after.
-HOT_BENCHES = BenchmarkNeuronFire|BenchmarkAddScratch1024|BenchmarkSearchAllocs|BenchmarkHardwareInferBatch|BenchmarkServeRoundTrip|BenchmarkColdStart
-HOT_PKGS = ./internal/rna/ ./internal/crossbar/ ./internal/ndcam/ ./internal/serve/ ./internal/composer/
+HOT_BENCHES = BenchmarkNeuronFire|BenchmarkSearchAllocs|BenchmarkHardwareInferBatch|BenchmarkServeRoundTrip|BenchmarkColdStart
+HOT_PKGS = ./internal/rna/ ./internal/ndcam/ ./internal/serve/ ./internal/composer/
 
 bench-hot:
 	go test -run '^$$' -bench '$(HOT_BENCHES)' -benchmem $(HOT_PKGS)

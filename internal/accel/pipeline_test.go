@@ -209,6 +209,34 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
+// The export is pinned byte for byte: one "stage N" track for every stage up
+// to the highest (stage 1 has no slice here), slices ordered by (ts, tid,
+// name) and then by event order, and an empty timeline still writes an
+// event array.
+func TestWriteChromeTraceBytes(t *testing.T) {
+	p := &PipelineResult{Events: []PipelineEvent{
+		{Input: 1, Stage: 0, Start: 5, End: 9},
+		{Input: 0, Stage: 2, Start: 0, End: 4},
+		{Input: 0, Stage: 0, Start: 0, End: 5},
+		{Input: 10, Stage: 0, Start: 5, End: 6},
+		{Input: 2, Stage: 3, Start: 9, End: 12},
+		{Input: 1, Stage: 0, Start: 5, End: 7},
+	}}
+	const want = `{"traceEvents":[{"name":"thread_name","cat":"","ph":"M","ts":0,"dur":0,"pid":1,"tid":0,"args":{"name":"stage 0"}},{"name":"thread_name","cat":"","ph":"M","ts":0,"dur":0,"pid":1,"tid":1,"args":{"name":"stage 1"}},{"name":"thread_name","cat":"","ph":"M","ts":0,"dur":0,"pid":1,"tid":2,"args":{"name":"stage 2"}},{"name":"thread_name","cat":"","ph":"M","ts":0,"dur":0,"pid":1,"tid":3,"args":{"name":"stage 3"}},{"name":"input 0","cat":"rna-stage","ph":"X","ts":0,"dur":5,"pid":1,"tid":0},{"name":"input 0","cat":"rna-stage","ph":"X","ts":0,"dur":4,"pid":1,"tid":2},{"name":"input 1","cat":"rna-stage","ph":"X","ts":5,"dur":4,"pid":1,"tid":0},{"name":"input 1","cat":"rna-stage","ph":"X","ts":5,"dur":2,"pid":1,"tid":0},{"name":"input 10","cat":"rna-stage","ph":"X","ts":5,"dur":1,"pid":1,"tid":0},{"name":"input 2","cat":"rna-stage","ph":"X","ts":9,"dur":3,"pid":1,"tid":3}]}` + "\n"
+	for _, c := range []struct {
+		p    *PipelineResult
+		want string
+	}{{p, want}, {&PipelineResult{}, `{"traceEvents":[]}` + "\n"}} {
+		var b bytes.Buffer
+		if err := c.p.WriteChromeTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != c.want {
+			t.Fatalf("trace bytes moved:\ngot  %s\nwant %s", b.String(), c.want)
+		}
+	}
+}
+
 // A replicated stage expands into a cascade of sub-stages in the event
 // simulation: the steady interval drops to the analytic II of the replicated
 // stage list and the fill latency matches the analytic sum, exactly.

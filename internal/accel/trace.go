@@ -1,70 +1,33 @@
 package accel
 
 import (
-	"encoding/json"
 	"io"
-	"sort"
 	"strconv"
+
+	"repro/internal/obs"
 )
 
 // WriteChromeTrace emits the pipeline timeline in the Chrome trace-event
-// format (load it at chrome://tracing or https://ui.perfetto.dev): one track
-// per pipeline stage, one slice per (input, stage) occupation. Cycle counts
-// are emitted as microseconds so a 1 GHz run reads as nanosecond-accurate
-// after dividing by 1000. The event stream is sorted by (timestamp, track,
-// input) before encoding, so the file is byte-identical for a given timeline
-// regardless of how the events were produced.
+// format through obs.EncodeChromeTrace: one track per pipeline stage, named
+// "stage N" up to the highest stage, and one slice per (input, stage)
+// occupation. Cycle counts are emitted as microseconds so a 1 GHz run reads
+// as nanosecond-accurate after dividing by 1000. The encoder sorts the
+// slices, so the file is byte-identical for a given timeline regardless of
+// how the events were produced.
 func (p *PipelineResult) WriteChromeTrace(w io.Writer) error {
-	type traceEvent struct {
-		Name string            `json:"name"`
-		Cat  string            `json:"cat"`
-		Ph   string            `json:"ph"`
-		Ts   int64             `json:"ts"`
-		Dur  int64             `json:"dur"`
-		Pid  int               `json:"pid"`
-		Tid  int               `json:"tid"`
-		Args map[string]string `json:"args,omitempty"`
-	}
-	events := make([]traceEvent, 0, len(p.Events))
-	maxStage := -1
+	var tracks []string
+	events := make([]obs.ChromeEvent, 0, len(p.Events))
 	for _, e := range p.Events {
-		if e.Stage > maxStage {
-			maxStage = e.Stage
+		for len(tracks) <= e.Stage {
+			tracks = append(tracks, "stage "+strconv.Itoa(len(tracks)))
 		}
-		events = append(events, traceEvent{
-			Name: inputName(e.Input),
+		events = append(events, obs.ChromeEvent{
+			Name: "input " + strconv.Itoa(e.Input),
 			Cat:  "rna-stage",
-			Ph:   "X",
 			Ts:   e.Start,
 			Dur:  e.End - e.Start,
-			Pid:  1,
 			Tid:  e.Stage,
 		})
 	}
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].Ts != events[j].Ts {
-			return events[i].Ts < events[j].Ts
-		}
-		if events[i].Tid != events[j].Tid {
-			return events[i].Tid < events[j].Tid
-		}
-		return events[i].Name < events[j].Name
-	})
-	// Metadata events label each track with its stage so viewers show
-	// "stage N" instead of a bare thread id.
-	meta := make([]traceEvent, 0, maxStage+1)
-	for s := 0; s <= maxStage; s++ {
-		meta = append(meta, traceEvent{
-			Name: "thread_name",
-			Ph:   "M",
-			Pid:  1,
-			Tid:  s,
-			Args: map[string]string{"name": "stage " + strconv.Itoa(s)},
-		})
-	}
-	return json.NewEncoder(w).Encode(struct {
-		TraceEvents []traceEvent `json:"traceEvents"`
-	}{append(meta, events...)})
+	return obs.EncodeChromeTrace(w, tracks, events)
 }
-
-func inputName(i int) string { return "input " + strconv.Itoa(i) }

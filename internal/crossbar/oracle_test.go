@@ -9,7 +9,7 @@ import (
 // This file holds the gate-level oracle of the in-memory adder: a crossbar
 // whose every NOR, write, read and row copy charges its own cycle and energy,
 // and the carry-save tree plus ripple adder built from those NORs. The
-// bit-sliced AddScratch.AddMany is pinned bit-identical to AddManyReference,
+// native modular sum and Price are pinned bit-identical to AddManyReference,
 // sums and Stats alike.
 
 // Crossbar is a bank of memory rows, each holding up to 64 bits. A row-wise

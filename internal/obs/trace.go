@@ -100,25 +100,14 @@ func (t *Tracer) Dropped() uint64 {
 }
 
 // WriteChromeTrace exports the recorded spans in the Chrome trace-event
-// format (load at chrome://tracing or https://ui.perfetto.dev): one track
-// (thread) per distinct track name, one slice per span, labels as slice
-// args. Tracks are numbered in sorted-name order and the event stream is
-// sorted by (timestamp, track, name), so the file is deterministic for a
-// given set of recorded spans.
+// format through EncodeChromeTrace: one track (thread) per distinct track
+// name, one slice per span, labels as slice args. Tracks are numbered in
+// sorted-name order, so the file is deterministic for a given set of
+// recorded spans.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	type traceEvent struct {
-		Name string            `json:"name"`
-		Cat  string            `json:"cat"`
-		Ph   string            `json:"ph"`
-		Ts   int64             `json:"ts"`
-		Dur  int64             `json:"dur"`
-		Pid  int               `json:"pid"`
-		Tid  int               `json:"tid"`
-		Args map[string]string `json:"args,omitempty"`
-	}
 	n := t.Len()
 	tidOf := make(map[string]int)
-	tracks := make([]string, 0, 8)
+	var tracks []string
 	for i := 0; i < n; i++ {
 		if _, ok := tidOf[t.events[i].track]; !ok {
 			tidOf[t.events[i].track] = 0
@@ -129,25 +118,42 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	for i, name := range tracks {
 		tidOf[name] = i
 	}
-	events := make([]traceEvent, 0, n+len(tracks))
-	for i := 0; i < n; i++ {
+	events := make([]ChromeEvent, n)
+	for i := range events {
 		e := t.events[i]
-		ev := traceEvent{
-			Name: e.name,
-			Cat:  "obs-span",
-			Ph:   "X",
-			Ts:   e.startUS,
-			Dur:  e.durUS,
-			Pid:  1,
-			Tid:  tidOf[e.track],
-		}
+		events[i] = ChromeEvent{Name: e.name, Cat: "obs-span", Ts: e.startUS, Dur: e.durUS, Tid: tidOf[e.track]}
 		if len(e.labels) > 0 {
-			ev.Args = make(map[string]string, len(e.labels))
+			events[i].Args = make(map[string]string, len(e.labels))
 			for _, l := range e.labels {
-				ev.Args[l.Key] = l.Value
+				events[i].Args[l.Key] = l.Value
 			}
 		}
-		events = append(events, ev)
+	}
+	return EncodeChromeTrace(w, tracks, events)
+}
+
+// ChromeEvent is one event of a Chrome trace-event file. Callers of
+// EncodeChromeTrace fill the slice fields; the encoder sets Ph and Pid.
+type ChromeEvent struct {
+	Name string            `json:"name"`
+	Cat  string            `json:"cat"`
+	Ph   string            `json:"ph"`
+	Ts   int64             `json:"ts"`
+	Dur  int64             `json:"dur"`
+	Pid  int               `json:"pid"`
+	Tid  int               `json:"tid"`
+	Args map[string]string `json:"args,omitempty"`
+}
+
+// EncodeChromeTrace writes events as a Chrome trace-event file (load it at
+// chrome://tracing or https://ui.perfetto.dev): every event becomes a
+// complete slice of process 1, and tracks[i] names the track (thread) of tid
+// i in a leading metadata event. The slices are sorted stably by
+// (timestamp, track, name) — in place — so the file is byte-identical for a
+// given event list however the events were produced.
+func EncodeChromeTrace(w io.Writer, tracks []string, events []ChromeEvent) error {
+	for i := range events {
+		events[i].Ph, events[i].Pid = "X", 1
 	}
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].Ts != events[j].Ts {
@@ -158,17 +164,11 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		}
 		return events[i].Name < events[j].Name
 	})
-	meta := make([]traceEvent, 0, len(tracks))
+	all := make([]ChromeEvent, 0, len(tracks)+len(events))
 	for i, name := range tracks {
-		meta = append(meta, traceEvent{
-			Name: "thread_name",
-			Ph:   "M",
-			Pid:  1,
-			Tid:  i,
-			Args: map[string]string{"name": name},
-		})
+		all = append(all, ChromeEvent{Name: "thread_name", Ph: "M", Pid: 1, Tid: i, Args: map[string]string{"name": name}})
 	}
 	return json.NewEncoder(w).Encode(struct {
-		TraceEvents []traceEvent `json:"traceEvents"`
-	}{append(meta, events...)})
+		TraceEvents []ChromeEvent `json:"traceEvents"`
+	}{append(all, events...)})
 }

@@ -100,6 +100,37 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
+// The export is pinned byte for byte, because perfbench parses it: tracks
+// numbered in sorted-name order, slices ordered by (ts, tid, name) and then
+// by record order, label values HTML-escaped, and an empty tracer still
+// writes an event array.
+func TestWriteChromeTraceBytes(t *testing.T) {
+	tr := NewTracer(8)
+	for _, e := range []spanEvent{
+		{track: "rna", name: "fc1", startUS: 40, durUS: 7},
+		{track: "loadgen", name: "request", labels: []Label{L("id", "7"), L("note", "a<b&c")}, startUS: 10, durUS: 50},
+		{track: "rna", name: "cv1", startUS: 40, durUS: 3},
+		{track: "router", name: "handler", labels: []Label{L("id", "7")}, startUS: 12, durUS: 30},
+		{track: "loadgen", name: "request", startUS: 40, durUS: 1},
+		{track: "rna", name: "cv1", startUS: 40, durUS: 9},
+	} {
+		tr.events[tr.n.Add(1)-1] = e
+	}
+	const want = `{"traceEvents":[{"name":"thread_name","cat":"","ph":"M","ts":0,"dur":0,"pid":1,"tid":0,"args":{"name":"loadgen"}},{"name":"thread_name","cat":"","ph":"M","ts":0,"dur":0,"pid":1,"tid":1,"args":{"name":"rna"}},{"name":"thread_name","cat":"","ph":"M","ts":0,"dur":0,"pid":1,"tid":2,"args":{"name":"router"}},{"name":"request","cat":"obs-span","ph":"X","ts":10,"dur":50,"pid":1,"tid":0,"args":{"id":"7","note":"a\u003cb\u0026c"}},{"name":"handler","cat":"obs-span","ph":"X","ts":12,"dur":30,"pid":1,"tid":2,"args":{"id":"7"}},{"name":"request","cat":"obs-span","ph":"X","ts":40,"dur":1,"pid":1,"tid":0},{"name":"cv1","cat":"obs-span","ph":"X","ts":40,"dur":3,"pid":1,"tid":1},{"name":"cv1","cat":"obs-span","ph":"X","ts":40,"dur":9,"pid":1,"tid":1},{"name":"fc1","cat":"obs-span","ph":"X","ts":40,"dur":7,"pid":1,"tid":1}]}` + "\n"
+	for _, c := range []struct {
+		tr   *Tracer
+		want string
+	}{{tr, want}, {NewTracer(4), `{"traceEvents":[]}` + "\n"}} {
+		var b strings.Builder
+		if err := c.tr.WriteChromeTrace(&b); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != c.want {
+			t.Fatalf("trace bytes moved:\ngot  %s\nwant %s", b.String(), c.want)
+		}
+	}
+}
+
 func TestNilTracerIsInert(t *testing.T) {
 	var tr *Tracer
 	sp := tr.Start("t", "s", L("a", "b"))

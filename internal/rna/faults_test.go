@@ -180,7 +180,7 @@ func TestParityAbsorbsTransientFlips(t *testing.T) {
 func TestFuncRNAOverlayProperties(t *testing.T) {
 	wcb := []float32{-1, -0.25, 0.25, 1}
 	ucb := []float32{-0.5, 0, 0.5, 0.75}
-	r := NewFuncRNAShared(devPtr(), wcb, ucb, nil, true, []float32{-1, 0, 1}, productTable(wcb, ucb))
+	r := NewFuncRNAShared(devPtr(), wcb, ucb, nil, []float32{-1, 0, 1}, productTable(wcb, ucb))
 
 	pristine := make([][]int64, r.nW)
 	for wi := 0; wi < r.nW; wi++ {

@@ -29,10 +29,9 @@ type FuncRNA struct {
 	products []int64
 	nW, nU   int
 
-	actTable *quant.ActTable
+	actTable *quant.ActTable // nil selects the ReLU comparator
 	actCAM   *ndcam.NDCAM
 	actFP    ndcam.FixedPoint
-	relu     bool
 
 	encCAM *ndcam.NDCAM
 	encFP  ndcam.FixedPoint
@@ -51,9 +50,9 @@ type FuncRNA struct {
 const sumWidth = 32
 
 // NewFuncRNAShared configures a functional RNA for the neurons of one
-// codebook group. actTable may be nil with relu=true for the comparator path;
-// nextCodebook is the consuming layer's input codebook the output is encoded
-// with. Each neuron's bias travels with its evaluation, not with the block.
+// codebook group. A nil actTable selects the ReLU comparator; nextCodebook
+// is the consuming layer's input codebook the output is encoded with. Each
+// neuron's bias travels with its evaluation, not with the block.
 //
 // products is the group's crossbar product table, composer.LayerPlan's
 // ProductTable: stride-indexed [len(wcb)·len(ucb)] at
@@ -65,12 +64,9 @@ const sumWidth = 32
 // the block reads through it on every evaluation, so it must not change
 // while the block is in use.
 func NewFuncRNAShared(dev *device.Params, wcb, ucb []float32,
-	actTable *quant.ActTable, relu bool, nextCodebook []float32, products []int64) *FuncRNA {
+	actTable *quant.ActTable, nextCodebook []float32, products []int64) *FuncRNA {
 	if len(wcb) == 0 || len(ucb) == 0 || len(nextCodebook) == 0 {
 		panic("rna: empty codebook")
-	}
-	if actTable == nil && !relu {
-		panic("rna: need an activation table or the ReLU comparator")
 	}
 	if len(products) != len(wcb)*len(ucb) {
 		panic(fmt.Sprintf("rna: product table holds %d entries, codebooks want %d×%d",
@@ -78,7 +74,7 @@ func NewFuncRNAShared(dev *device.Params, wcb, ucb []float32,
 	}
 	// The pristine path only ever reads the table (fault injection is an
 	// overlay, faults.go), so a read-only mapping is safe to borrow.
-	r := &FuncRNA{dev: dev, products: products, nW: len(wcb), nU: len(ucb), actTable: actTable, relu: relu}
+	r := &FuncRNA{dev: dev, products: products, nW: len(wcb), nU: len(ucb), actTable: actTable}
 	r.actKey, r.encKey = nextCAMKeys()
 	if actTable != nil {
 		lo, hi := float64(actTable.Y[0]), float64(actTable.Y[len(actTable.Y)-1])
@@ -106,8 +102,8 @@ func NewFuncRNAShared(dev *device.Params, wcb, ucb []float32,
 // the crossbar activity of this evaluation. Edge i reads product
 // wOff[i] + inputIdx[i]: wOff[i] is its weight-codebook index times nU,
 // resolved at lowering, and inputIdx[i] its input-codebook index; bias is the
-// neuron's fixed-point bias (toFixed at composer.FlatProductFracBits). One
-// pass counts the edges and one over the (w,u) slots they hit reads each
+// neuron's fixed-point bias (quant.ToFixed at composer.FlatProductFracBits).
+// One pass counts the edges and one over the (w,u) slots they hit reads each
 // distinct product once, in first-hit order, so the cost follows the edge
 // count. Count c's shift-add terms sum to c·product and the adder is exact
 // modulo 2^sumWidth, so the sum is accumulated natively and the adder's Stats
@@ -168,13 +164,13 @@ func (r *FuncRNA) AccumulateBiasScratch(wOff []int32, inputIdx []int, bias int64
 			operands += counting.Weight(c)
 		}
 	}
-	return fromFixed(int64(int32(sum+uint32(bias))), composer.FlatProductFracBits), s.price(r.dev, operands)
+	return quant.FromFixed(int64(int32(sum+uint32(bias))), composer.FlatProductFracBits), s.price(r.dev, operands)
 }
 
 // activate applies the activation stage: an NDCAM table search, or the ReLU
 // comparator (§4.2.1).
 func (r *FuncRNA) activate(pre float64, s *Scratch) float64 {
-	if r.relu {
+	if r.actTable == nil {
 		if pre > 0 {
 			return pre
 		}
@@ -189,9 +185,3 @@ func (r *FuncRNA) activate(pre float64, s *Scratch) float64 {
 func (r *FuncRNA) encodeValue(z float64, s *Scratch) int {
 	return r.searchEncCAM(r.encFP.Encode(z), s)
 }
-
-// toFixed / fromFixed delegate to the shared quant conversions, the ones
-// the composer's product tables are built with.
-func toFixed(v float64, frac uint) int64 { return quant.ToFixed(v, frac) }
-
-func fromFixed(v int64, frac uint) float64 { return quant.FromFixed(v, frac) }

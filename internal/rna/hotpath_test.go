@@ -11,6 +11,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/ndcam"
 	"repro/internal/nn"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -36,14 +37,15 @@ func offsets(r *FuncRNA, wi []int) []int32 {
 // pipeline AccumulateBiasScratch fuses: ParallelCount counts the (w,u) pairs
 // (§4.1.1); each counted pair, in (w,u) order, is read once and expanded by
 // Decompose into its shifted 32-bit addends; the bias joins them and the
-// crossbar adder sums the lot (§4.1.2).
+// crossbar adder sums the lot (§4.1.2) — natively modulo 2^sumWidth, priced
+// by crossbar.Price for that many operands.
 func accumulateOracle(r *FuncRNA, wi, ui []int, bias int64) (float64, crossbar.Stats) {
 	pairs := make([]counting.Pair, len(wi))
 	for i := range wi {
 		pairs[i] = counting.Pair{W: wi[i], U: ui[i]}
 	}
 	counts := counting.ParallelCount(pairs, r.nW).Counts
-	var addends []uint64
+	var addends []uint32
 	for w := 0; w < r.nW; w++ {
 		for u := 0; u < r.nU; u++ {
 			c := counts[counting.Pair{W: w, U: u}]
@@ -56,14 +58,16 @@ func accumulateOracle(r *FuncRNA, wi, ui []int, bias int64) (float64, crossbar.S
 				if t.Sub {
 					v = -v
 				}
-				addends = append(addends, uint64(v)&math.MaxUint32)
+				addends = append(addends, uint32(v))
 			}
 		}
 	}
-	addends = append(addends, uint64(bias)&math.MaxUint32)
-	var add crossbar.AddScratch
-	raw, st := add.AddMany(r.dev, addends, sumWidth)
-	return fromFixed(int64(int32(uint32(raw))), composer.FlatProductFracBits), st
+	addends = append(addends, uint32(bias))
+	var sum uint32
+	for _, v := range addends {
+		sum += v
+	}
+	return quant.FromFixed(int64(int32(sum)), composer.FlatProductFracBits), crossbar.Price(r.dev, len(addends), sumWidth)
 }
 
 // randomNeuron draws a block with nW×nU random codebooks (ReLU comparator,
@@ -71,7 +75,7 @@ func accumulateOracle(r *FuncRNA, wi, ui []int, bias int64) (float64, crossbar.S
 func randomNeuron(rng *rand.Rand, nW, nU, edges int) (*FuncRNA, []int, []int) {
 	wcb := randomCodebook(rng, nW, 4)
 	ucb := randomCodebook(rng, nU, 8)
-	r := NewFuncRNAShared(devPtr(), wcb, ucb, nil, true, []float32{-1, 0, 1}, productTable(wcb, ucb))
+	r := NewFuncRNAShared(devPtr(), wcb, ucb, nil, []float32{-1, 0, 1}, productTable(wcb, ucb))
 	wi, ui := make([]int, edges), make([]int, edges)
 	for i := range wi {
 		wi[i], ui[i] = rng.Intn(nW), rng.Intn(nU)
@@ -199,31 +203,35 @@ func TestEvalScratchZeroAllocs(t *testing.T) {
 	}
 }
 
-// Max pooling is priced in closed form (poolCAMStats), so a warm scratch
-// classifies an input through a conv + max-pool network without allocating.
+// Every pooling window is priced at lowering — a max-pool window by
+// poolCAMStats, an avg-pool window by crossbar.Price — so a warm scratch
+// classifies an input through a conv + pool network of either kind without
+// allocating.
 func TestMaxPoolStatsZeroAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := tensor.ConvGeom{InC: 1, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	conv := nn.NewConv2D("cv", g, 2, nn.ReLU{}, rng)
-	pc, ph, pw := conv.OutGeom()
-	pool := nn.NewPool2D("pl", nn.MaxPool, tensor.ConvGeom{InC: pc, InH: ph, InW: pw, KH: 2, KW: 2, Stride: 2})
-	qc, qh, qw := pool.OutGeom()
-	net := nn.NewNetwork("pool").Add(conv).Add(pool).Add(nn.NewDense("out", qc*qh*qw, 3, nn.Identity{}, rng))
-	hw, err := BuildHardwareNetwork(net, composer.SyntheticPlans(net, 8, 8, 16), dev())
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float32, hw.InSize())
-	for i := range x {
-		x[i] = 2*rng.Float32() - 1
-	}
-	s := NewScratch()
-	hw.inferOne(x, s) // grow the scratch
-	allocs := testing.AllocsPerRun(50, func() {
-		hw.inferOne(x, s)
-	})
-	if allocs != 0 {
-		t.Fatalf("conv + max-pool inference allocates %v per input, want 0", allocs)
+	for _, kind := range []nn.PoolKind{nn.MaxPool, nn.AvgPool} {
+		rng := rand.New(rand.NewSource(8))
+		g := tensor.ConvGeom{InC: 1, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
+		conv := nn.NewConv2D("cv", g, 2, nn.ReLU{}, rng)
+		pc, ph, pw := conv.OutGeom()
+		pool := nn.NewPool2D("pl", kind, tensor.ConvGeom{InC: pc, InH: ph, InW: pw, KH: 2, KW: 2, Stride: 2})
+		qc, qh, qw := pool.OutGeom()
+		net := nn.NewNetwork("pool").Add(conv).Add(pool).Add(nn.NewDense("out", qc*qh*qw, 3, nn.Identity{}, rng))
+		hw, err := BuildHardwareNetwork(net, composer.SyntheticPlans(net, 8, 8, 16), dev())
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float32, hw.InSize())
+		for i := range x {
+			x[i] = 2*rng.Float32() - 1
+		}
+		s := NewScratch()
+		hw.inferOne(x, s) // grow the scratch
+		allocs := testing.AllocsPerRun(50, func() {
+			hw.inferOne(x, s)
+		})
+		if allocs != 0 {
+			t.Fatalf("conv + pool (kind %v) inference allocates %v per input, want 0", kind, allocs)
+		}
 	}
 }
 
@@ -276,7 +284,7 @@ func TestMaxPoolRecordsCAMStats(t *testing.T) {
 	for i := range cb {
 		cb[i] = float32(i)/8 - 1
 	}
-	r := NewFuncRNAShared(devPtr(), cb, cb, nil, true, cb, productTable(cb, cb))
+	r := NewFuncRNAShared(devPtr(), cb, cb, nil, cb, productTable(cb, cb))
 	rng := rand.New(rand.NewSource(22))
 	for size := 1; size <= 9; size++ {
 		win := make([]int, size)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/nn"
 	"repro/internal/obs"
+	"repro/internal/quant"
 	"repro/internal/tensor"
 )
 
@@ -85,9 +86,10 @@ type hwLayer struct {
 	tapEnd  []int32
 	isLogit bool
 
-	// Pooling layers: output n reads poolIn[n·poolK : (n+1)·poolK]. A
-	// max-pool window's CAM activity is the same for every window, so it is
-	// priced once at lowering.
+	// Pooling layers: output n reads poolIn[n·poolK : (n+1)·poolK]. Every
+	// window of a layer costs the same — a max-pool window refills and
+	// searches a CAM, an avg-pool window is one poolK-operand addition — so
+	// poolStats is priced once at lowering.
 	poolIn    []int32
 	poolK     int
 	poolAvg   bool
@@ -179,7 +181,7 @@ func nextCodebook(plans []*composer.LayerPlan, i int) []float32 {
 
 // fixedBias converts a neuron's bias to the product tables' fixed-point
 // format, the form AccumulateBiasScratch adds it in.
-func fixedBias(b float32) int64 { return toFixed(float64(b), composer.FlatProductFracBits) }
+func fixedBias(b float32) int64 { return quant.ToFixed(float64(b), composer.FlatProductFracBits) }
 
 // newComputeLayer lowers the parts every compute layer shares: one RNA per
 // codebook group, configured with the group's product table, per-channel
@@ -190,7 +192,7 @@ func newComputeLayer(p *composer.LayerPlan, next []float32, dev *device.Params, 
 	hl := &hwLayer{kind: p.Kind, plan: p, chanGroup: make([]int, chans), biasFixed: make([]int64, chans),
 		classOf: []int32{0}, tapEnd: []int32{int32(widths[0])}}
 	for g, wcb := range p.WeightCodebooks {
-		hl.rnas = append(hl.rnas, NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, p.ActTable == nil, next, p.ProductTable(g)))
+		hl.rnas = append(hl.rnas, NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, next, p.ProductTable(g)))
 	}
 	for range chans {
 		for _, w := range widths {
@@ -278,7 +280,7 @@ func buildRecurrentHW(t *nn.Recurrent, p *composer.LayerPlan, next []float32, de
 	// re-encodes intermediate states onto the layer's own codebook. Both
 	// share the (wcb, ucb) pair, so one product table serves both.
 	wcb, nU := p.WeightCodebooks[0], len(p.InputCodebook)
-	hl.rnnLoop = NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, p.ActTable == nil, p.InputCodebook, hl.rnas[0].products)
+	hl.rnnLoop = NewFuncRNAShared(dev, wcb, p.InputCodebook, p.ActTable, p.InputCodebook, hl.rnas[0].products)
 	for j, row := range hl.wOff {
 		hl.biasFixed[j] = fixedBias(t.B.Value.At(0, j))
 		for i := 0; i < t.In; i++ {
@@ -295,6 +297,9 @@ func buildPoolHW(t *nn.Pool2D, p *composer.LayerPlan, next []float32, dev *devic
 	g := t.Geom
 	k := g.KH * g.KW
 	hl := &hwLayer{kind: p.Kind, plan: p, poolK: k, poolAvg: t.Kind == nn.AvgPool, poolCB: next, poolStats: poolCAMStats(*dev, k)}
+	if hl.poolAvg {
+		hl.poolStats = crossbar.Price(dev, k, sumWidth)
+	}
 	// Pooling windows are uniform (no padding), so they pack back to back.
 	hl.poolIn = make([]int32, 0, t.OutSize()*k)
 	for c := 0; c < g.InC; c++ {
@@ -433,20 +438,20 @@ func (h *HardwareNetwork) inferOne(x []float32, s *Scratch) (int, crossbar.Stats
 			copy(nxt, hState)
 		case hl.poolAvg:
 			// Average pooling (§4.2.1): the crossbar sums the decoded window
-			// values in memory; the division by the window size is normalized
-			// into the weights offline, so here it is a fixed reciprocal
-			// multiply; the result re-encodes through the AM.
+			// values in memory, exactly modulo 2^sumWidth, so the sum is
+			// native and the addition's Stats are the window price set at
+			// lowering. The division by the window size is normalized into
+			// the weights offline, so here it is a fixed reciprocal multiply;
+			// the result re-encodes through the AM.
 			nxt = resizeInts(nxt, len(hl.poolIn)/hl.poolK)
 			inv := 1.0 / float64(hl.poolK)
 			for n := range nxt {
-				addends := s.addends[:0]
+				var sum uint32
 				for _, pos := range hl.poolIn[n*hl.poolK : (n+1)*hl.poolK] {
-					addends = append(addends, uint64(toFixed(float64(hl.poolCB[enc[pos]]), composer.FlatProductFracBits))&math.MaxUint32)
+					sum += uint32(quant.ToFixed(float64(hl.poolCB[enc[pos]]), composer.FlatProductFracBits))
 				}
-				s.addends = addends
-				raw, st := s.add.AddMany(&h.dev, addends, sumWidth)
-				stats = addStats(stats, st)
-				mean := fromFixed(int64(int32(uint32(raw))), composer.FlatProductFracBits) * inv
+				stats = addStats(stats, hl.poolStats)
+				mean := quant.FromFixed(int64(int32(sum)), composer.FlatProductFracBits) * inv
 				nxt[n] = cluster.Assign(hl.poolCB, float32(mean))
 			}
 		case hl.kind == composer.KindPool:

@@ -247,25 +247,36 @@ func TestCompiledConvMatchesEdgeLists(t *testing.T) {
 	}
 }
 
-// One Scratch may serve networks lowered for different devices: the price
-// memo follows the device, so each network's Stats equal a fresh scratch's.
+// One Scratch may serve networks lowered for different devices, or for equal
+// Params behind another pointer: the price memo follows the device, so each
+// network's Stats equal a fresh scratch's. The avg-pool window price, set at
+// lowering, is the network's own device's.
 func TestPriceMemoFollowsDevice(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
-	net := nn.NewNetwork("memo").
-		Add(nn.NewDense("fc1", 12, 8, nn.ReLU{}, rng)).
+	conv := nn.NewConv2D("cv", tensor.ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, 2, nn.ReLU{}, rng)
+	pc, ph, pw := conv.OutGeom()
+	pool := nn.NewPool2D("pl", nn.AvgPool, tensor.ConvGeom{InC: pc, InH: ph, InW: pw, KH: 2, KW: 2, Stride: 2})
+	net := nn.NewNetwork("memo").Add(conv).Add(pool).
+		Add(nn.NewDense("fc1", pool.OutSize(), 8, nn.ReLU{}, rng)).
 		Add(nn.NewDense("out", 8, 3, nn.Identity{}, rng))
 	plans := composer.SyntheticPlans(net, 8, 8, 16)
 	doubled := dev()
 	doubled.NOREnergy *= 2
 	var nets []*HardwareNetwork
-	for _, d := range []device.Params{dev(), doubled} {
+	for _, d := range []device.Params{dev(), doubled, dev()} {
 		hw, err := BuildHardwareNetwork(net, plans, d)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got, want := hw.layers[1].poolStats, crossbar.Price(&d, 4, sumWidth); got != want {
+			t.Fatalf("NOR energy %v J: avg-pool window priced %+v, want %+v", d.NOREnergy, got, want)
+		}
 		nets = append(nets, hw)
 	}
-	x := make([]float32, 12)
+	if nets[0].layers[1].poolStats == nets[1].layers[1].poolStats {
+		t.Fatal("doubling the NOR energy left the avg-pool window price unchanged")
+	}
+	x := make([]float32, net.InSize())
 	for i := range x {
 		x[i] = 2*rng.Float32() - 1
 	}

@@ -195,7 +195,7 @@ func TestFuncRNAMatchesSoftware(t *testing.T) {
 		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
 		bias := float32(rng.Float64()*0.2 - 0.1)
 		tab := quant.BuildActTable(nn.Sigmoid{}, 64, -8, 8, quant.NonLinear)
-		r := NewFuncRNAShared(devPtr(), wcb, ucb, tab, false, next, productTable(wcb, ucb))
+		r := NewFuncRNAShared(devPtr(), wcb, ucb, tab, next, productTable(wcb, ucb))
 
 		edges := 64
 		wi := make([]int, edges)
@@ -210,7 +210,7 @@ func TestFuncRNAMatchesSoftware(t *testing.T) {
 		zSW := float64(tab.Eval(float32(pre)))
 		encSW := cluster.Assign(next, float32(zSW))
 
-		encHW, _ := fire(r, offsets(r, wi), ui, toFixed(float64(bias), 16), NewScratch())
+		encHW, _ := fire(r, offsets(r, wi), ui, quant.ToFixed(float64(bias), 16), NewScratch())
 		valHW := next[encHW]
 		if encHW == encSW {
 			exact++
@@ -237,7 +237,7 @@ func TestFuncRNAReLUComparator(t *testing.T) {
 	wcb := randomCodebook(rng, 4, 0.5)
 	ucb := randomCodebook(rng, 4, 1.0)
 	next := []float32{0, 0.25, 0.5, 1}
-	r := NewFuncRNAShared(devPtr(), wcb, ucb, nil, true, next, productTable(wcb, ucb))
+	r := NewFuncRNAShared(devPtr(), wcb, ucb, nil, next, productTable(wcb, ucb))
 	// All-most-negative weights on positive inputs → ReLU clamps to 0.
 	wi := []int{0, 0, 0, 0}
 	ui := []int{3, 3, 3, 3}
@@ -254,13 +254,13 @@ func TestFuncRNAChargesSubstrateWork(t *testing.T) {
 	wcb := randomCodebook(rng, 8, 0.5)
 	ucb := randomCodebook(rng, 8, 1.0)
 	next := randomCodebook(rng, 8, 1.0)
-	r := NewFuncRNAShared(devPtr(), wcb, ucb, nil, true, next, productTable(wcb, ucb))
+	r := NewFuncRNAShared(devPtr(), wcb, ucb, nil, next, productTable(wcb, ucb))
 	wi := make([]int, 32)
 	ui := make([]int, 32)
 	for i := range wi {
 		wi[i], ui[i] = rng.Intn(8), rng.Intn(8)
 	}
-	if _, st := fire(r, offsets(r, wi), ui, toFixed(0.1, 16), NewScratch()); st.NORs == 0 || st.EnergyJ == 0 {
+	if _, st := fire(r, offsets(r, wi), ui, quant.ToFixed(0.1, 16), NewScratch()); st.NORs == 0 || st.EnergyJ == 0 {
 		t.Fatal("a neuron fire must accrue crossbar NOR work")
 	}
 }
@@ -272,7 +272,7 @@ func TestFuncRNAMaxPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	wcb := randomCodebook(rng, 4, 0.5)
 	ucb := []float32{-1, -0.25, 0.25, 1}
-	r := NewFuncRNAShared(devPtr(), wcb, ucb, nil, true, ucb, productTable(wcb, ucb))
+	r := NewFuncRNAShared(devPtr(), wcb, ucb, nil, ucb, productTable(wcb, ucb))
 	if got, _ := maxPoolOracle(r, ucb, []int{1, 3, 0, 2}); got != 3 {
 		t.Fatalf("max pool picked index %d, want 3", got)
 	}
@@ -283,13 +283,12 @@ func TestFuncRNAMaxPool(t *testing.T) {
 
 func TestFuncRNAValidation(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewFuncRNAShared(devPtr(), nil, []float32{1}, nil, true, []float32{1}, []int64{1}) },
-		func() { NewFuncRNAShared(devPtr(), []float32{1}, []float32{1}, nil, false, []float32{1}, []int64{1}) },
-		func() { NewFuncRNAShared(devPtr(), []float32{1}, []float32{1}, nil, true, []float32{1}, []int64{1, 2}) },
+		func() { NewFuncRNAShared(devPtr(), nil, []float32{1}, nil, []float32{1}, []int64{1}) },
+		func() { NewFuncRNAShared(devPtr(), []float32{1}, []float32{1}, nil, []float32{1}, []int64{1, 2}) },
 		// No table, no block: the composer is the only producer of tables.
-		func() { NewFuncRNAShared(devPtr(), []float32{1}, []float32{1}, nil, true, []float32{1}, nil) },
+		func() { NewFuncRNAShared(devPtr(), []float32{1}, []float32{1}, nil, []float32{1}, nil) },
 		func() {
-			r := NewFuncRNAShared(devPtr(), []float32{1}, []float32{1}, nil, true, []float32{1}, []int64{1})
+			r := NewFuncRNAShared(devPtr(), []float32{1}, []float32{1}, nil, []float32{1}, []int64{1})
 			r.AccumulateBiasScratch([]int32{0}, []int{0, 1}, 0, NewScratch())
 		},
 	} {

@@ -9,11 +9,10 @@ import (
 
 // Scratch is the per-worker working set of the hot inference path. Every
 // buffer the pipeline needs between two neuron fires — the counting
-// histogram and its list of touched slots, the avg-pool adder operands, the
-// in-memory adder's schedule table and its price memo, the batch-scoped CAM
-// lookup cache, and the per-input activation buffers of the network
-// executor — lives here, so a worker that owns one Scratch evaluates neurons
-// and whole inputs without allocating in steady state.
+// histogram and its list of touched slots, the in-memory adder's price memo,
+// the batch-scoped CAM lookup cache, and the per-input activation buffers of
+// the network executor — lives here, so a worker that owns one Scratch
+// evaluates neurons and whole inputs without allocating in steady state.
 //
 // Ownership rules: a Scratch is NOT safe for concurrent use — it is the
 // mutable state the read-only FuncRNA blocks and NDCAM searches are kept
@@ -22,14 +21,14 @@ import (
 // from any number of goroutines.
 type Scratch struct {
 	// Neuron-fire pipeline.
-	counts  []int    // flat (w·u) counting histogram, all zero between calls
-	touched []int    // histogram slots one accumulation made non-zero
-	addends []uint64 // adder operands of one avg-pool window
-	add     crossbar.AddScratch
+	counts  []int // flat (w·u) counting histogram, all zero between calls
+	touched []int // histogram slots one accumulation made non-zero
 	// prices[n] memoizes the Stats of an n-operand addition on priceDev, the
 	// device of the blocks last priced (a lowered network's one immutable
-	// copy), so a neuron compares a pointer, not the Params. The zero Stats
-	// marks an unpriced count: every addition writes its operands.
+	// copy), so a neuron compares a pointer, not the Params. It is the
+	// adder's only memo, kept across networks lowered for equal Params
+	// (refilling it costs milliseconds; DESIGN, Priced NOR adder). The zero
+	// Stats marks an unpriced count: every addition writes its operands.
 	prices   []crossbar.Stats
 	priceDev *device.Params
 
@@ -58,11 +57,14 @@ func NewScratch() *Scratch { return &Scratch{} }
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 // price returns the Stats of adding operands sumWidth-bit values on dev's
-// adder, from the memo while dev is the device it was filled for.
+// adder, from the memo while dev holds the Params it was filled for, and
+// from crossbar.Price on a miss.
 func (s *Scratch) price(dev *device.Params, operands int) crossbar.Stats {
 	if dev != s.priceDev {
+		if s.priceDev == nil || *dev != *s.priceDev {
+			clear(s.prices)
+		}
 		s.priceDev = dev
-		clear(s.prices)
 	}
 	if operands < len(s.prices) && s.prices[operands].Writes != 0 {
 		return s.prices[operands]
@@ -70,7 +72,7 @@ func (s *Scratch) price(dev *device.Params, operands int) crossbar.Stats {
 	if operands >= len(s.prices) {
 		s.prices = append(s.prices, make([]crossbar.Stats, operands+1-len(s.prices))...)
 	}
-	s.prices[operands] = s.add.Price(dev, operands, sumWidth)
+	s.prices[operands] = crossbar.Price(dev, operands, sumWidth)
 	return s.prices[operands]
 }
 
