@@ -35,9 +35,9 @@ vet:
 # paths (re-entrant RNA evaluation, batched hardware inference, k-means,
 # the serving batcher, the lock-free metrics/tracing instruments) must be
 # clean under the race detector — including the scratch-arena plumbing
-# underneath them (counting, crossbar adder, NDCAM) and the per-batch CAM
-# lookup cache each InferBatchStats worker arms on its own Scratch
-# (TestInferBatchCAMCacheConcurrent) — the compilation pass's parallel
+# underneath them (counting, crossbar adder, NDCAM) and concurrent
+# instrumented batches on one network, each worker on its own Scratch
+# (TestInstrumentedInferBatchConcurrent) — the compilation pass's parallel
 # candidate scoring (internal/accel/compile), and the software forward that
 # concurrent predicts share (internal/nn, TestConcurrentPredictIsRaceFree).
 race:

@@ -82,49 +82,27 @@ func (n *NDCAM) searchMasked(query uint64, fm *FaultMask) int {
 	if fm.nRows < limit {
 		limit = fm.nRows
 	}
+	// The MSB-first stage pipeline is integer argmin of the XOR word (see
+	// searchPristine), so no staging is needed once the candidate set is a
+	// bitset scan.
 	best := -1
-	if n.mode == Hamming {
-		bestD := math.MaxInt
-		for w := 0; w*64 < limit; w++ {
-			alive := fm.alive[w]
-			if rem := limit - w*64; rem < 64 {
-				alive &= uint64(1)<<rem - 1
-			}
-			for alive != 0 {
-				i := w*64 + bits.TrailingZeros64(alive)
-				alive &= alive - 1
-				if d := bits.OnesCount64(rows[i] ^ query); d < bestD {
-					best, bestD = i, d
-				}
-			}
+	bestX := uint64(math.MaxUint64)
+	for w := 0; w*64 < limit; w++ {
+		alive := fm.alive[w]
+		if rem := limit - w*64; rem < 64 {
+			alive &= uint64(1)<<rem - 1
 		}
-		for i := limit; i < len(rows); i++ {
-			if d := bits.OnesCount64(rows[i] ^ query); d < bestD {
-				best, bestD = i, d
-			}
-		}
-	} else {
-		// Weighted: the MSB-first stage pipeline is integer argmin of the
-		// XOR word (see searchPristine), so no staging is needed once the
-		// candidate set is a bitset scan.
-		bestX := uint64(math.MaxUint64)
-		for w := 0; w*64 < limit; w++ {
-			alive := fm.alive[w]
-			if rem := limit - w*64; rem < 64 {
-				alive &= uint64(1)<<rem - 1
-			}
-			for alive != 0 {
-				i := w*64 + bits.TrailingZeros64(alive)
-				alive &= alive - 1
-				if x := rows[i] ^ query; x < bestX {
-					best, bestX = i, x
-				}
-			}
-		}
-		for i := limit; i < len(rows); i++ {
+		for alive != 0 {
+			i := w*64 + bits.TrailingZeros64(alive)
+			alive &= alive - 1
 			if x := rows[i] ^ query; x < bestX {
 				best, bestX = i, x
 			}
+		}
+	}
+	for i := limit; i < len(rows); i++ {
+		if x := rows[i] ^ query; x < bestX {
+			best, bestX = i, x
 		}
 	}
 	if best < 0 {

@@ -22,37 +22,35 @@ func randomFaults(rng *rand.Rand, n int, deadRate, shortRate float64) []RowFault
 }
 
 // Search under a compiled overlay must return exactly what the scalar
-// per-row classification oracle returns — winner and Stats — across modes,
+// per-row classification oracle returns — winner and Stats — across
 // widths, overlay lengths (shorter, equal, and longer than the bank) and
 // fault densities, including the degenerate all-dead and all-OK overlays.
 func TestSearchStatsMaskedMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, mode := range []Mode{Hamming, Weighted} {
-		for trial := 0; trial < 400; trial++ {
-			bits := 1 + rng.Intn(64)
-			n := 1 + rng.Intn(150)
-			cam := randomCAM(rng, mode, bits, n)
-			// Overlay length intentionally off the row count sometimes: the
-			// scalar path ignores rf beyond the bank and treats uncovered
-			// rows as healthy; the mask must agree.
-			rfLen := n
-			switch trial % 3 {
-			case 1:
-				rfLen = rng.Intn(n + 1)
-			case 2:
-				rfLen = n + rng.Intn(8)
-			}
-			deadRate := []float64{0, 0.1, 0.5, 1.0}[trial%4]
-			shortRate := []float64{0, 0.02, 0.3}[trial%3]
-			rf := randomFaults(rng, rfLen, deadRate, shortRate)
-			fm := BuildFaultMask(rf)
-			q := rng.Uint64()
-			wantRow, wantStats := cam.searchOracle(q, rf)
-			gotRow, gotStats := cam.Search(q, fm)
-			if gotRow != wantRow || gotStats != wantStats {
-				t.Fatalf("%v trial %d (bits=%d, rows=%d, rf=%d): masked (%d, %+v) vs scalar (%d, %+v)",
-					mode, trial, bits, n, rfLen, gotRow, gotStats, wantRow, wantStats)
-			}
+	for trial := 0; trial < 400; trial++ {
+		bits := 1 + rng.Intn(64)
+		n := 1 + rng.Intn(150)
+		cam := randomCAM(rng, bits, n)
+		// Overlay length intentionally off the row count sometimes: the
+		// scalar path ignores rf beyond the bank and treats uncovered rows
+		// as healthy; the mask must agree.
+		rfLen := n
+		switch trial % 3 {
+		case 1:
+			rfLen = rng.Intn(n + 1)
+		case 2:
+			rfLen = n + rng.Intn(8)
+		}
+		deadRate := []float64{0, 0.1, 0.5, 1.0}[trial%4]
+		shortRate := []float64{0, 0.02, 0.3}[trial%3]
+		rf := randomFaults(rng, rfLen, deadRate, shortRate)
+		fm := BuildFaultMask(rf)
+		q := rng.Uint64()
+		wantRow, wantStats := cam.searchOracle(q, rf)
+		gotRow, gotStats := cam.Search(q, fm)
+		if gotRow != wantRow || gotStats != wantStats {
+			t.Fatalf("trial %d (bits=%d, rows=%d, rf=%d): masked (%d, %+v) vs scalar (%d, %+v)",
+				trial, bits, n, rfLen, gotRow, gotStats, wantRow, wantStats)
 		}
 	}
 }
@@ -67,7 +65,7 @@ func TestBuildFaultMaskNoOp(t *testing.T) {
 		t.Fatalf("all-OK overlay compiled to %+v, want nil", fm)
 	}
 	rng := rand.New(rand.NewSource(22))
-	cam := randomCAM(rng, Weighted, 16, 64)
+	cam := randomCAM(rng, 16, 64)
 	for i := 0; i < 50; i++ {
 		q := rng.Uint64()
 		want, _ := cam.searchOracle(q, nil)
@@ -82,19 +80,17 @@ func TestBuildFaultMaskNoOp(t *testing.T) {
 // allocation-free with no scratch buffer at all.
 func TestSearchStatsMaskedZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, mode := range []Mode{Hamming, Weighted} {
-		cam := randomCAM(rng, mode, 16, 130)
-		rf := make([]RowFault, cam.Len())
-		for i := 0; i < cam.Len(); i += 7 {
-			rf[i] = RowDead
-		}
-		fm := BuildFaultMask(rf)
-		q := rng.Uint64() & 0xFFFF
-		if allocs := testing.AllocsPerRun(200, func() {
-			cam.Search(q, fm)
-		}); allocs != 0 {
-			t.Fatalf("%v masked search allocates %v per op, want 0", mode, allocs)
-		}
+	cam := randomCAM(rng, 16, 130)
+	rf := make([]RowFault, cam.Len())
+	for i := 0; i < cam.Len(); i += 7 {
+		rf[i] = RowDead
+	}
+	fm := BuildFaultMask(rf)
+	q := rng.Uint64() & 0xFFFF
+	if allocs := testing.AllocsPerRun(200, func() {
+		cam.Search(q, fm)
+	}); allocs != 0 {
+		t.Fatalf("masked search allocates %v per op, want 0", allocs)
 	}
 }
 
@@ -118,15 +114,13 @@ func FuzzSearchMasked(f *testing.F) {
 		for i, b := range faults {
 			rf[i] = RowFault(b % 3)
 		}
-		for _, mode := range []Mode{Hamming, Weighted} {
-			cam := randomCAM(rng, mode, bits, 1+rng.Intn(200))
-			fm := BuildFaultMask(rf)
-			wantRow, wantStats := cam.searchOracle(q, rf)
-			gotRow, gotStats := cam.Search(q, fm)
-			if gotRow != wantRow || gotStats != wantStats {
-				t.Fatalf("%v (bits=%d, rows=%d, rf=%d): masked (%d, %+v) vs scalar (%d, %+v)",
-					mode, bits, cam.Len(), len(rf), gotRow, gotStats, wantRow, wantStats)
-			}
+		cam := randomCAM(rng, bits, 1+rng.Intn(200))
+		fm := BuildFaultMask(rf)
+		wantRow, wantStats := cam.searchOracle(q, rf)
+		gotRow, gotStats := cam.Search(q, fm)
+		if gotRow != wantRow || gotStats != wantStats {
+			t.Fatalf("(bits=%d, rows=%d, rf=%d): masked (%d, %+v) vs scalar (%d, %+v)",
+				bits, cam.Len(), len(rf), gotRow, gotStats, wantRow, wantStats)
 		}
 	})
 }

@@ -15,9 +15,9 @@ func searchUnder(t *testing.T, cam *NDCAM, q uint64, rf []RowFault) (int, Stats)
 
 // fillCAM writes the patterns 0,10,20,...,(n-1)*10 so nearest-distance
 // results are easy to predict.
-func fillCAM(t *testing.T, mode Mode, n int) *NDCAM {
+func fillCAM(t *testing.T, n int) *NDCAM {
 	t.Helper()
-	cam := New(dev(), 16, mode)
+	cam := New(dev(), 16)
 	for i := 0; i < n; i++ {
 		cam.Write(uint64(i * 10))
 	}
@@ -25,73 +25,64 @@ func fillCAM(t *testing.T, mode Mode, n int) *NDCAM {
 }
 
 func TestSearchFaultyNilOverlayMatchesClean(t *testing.T) {
-	for _, mode := range []Mode{Hamming, Weighted} {
-		cam := fillCAM(t, mode, 8)
-		for q := uint64(0); q < 80; q += 7 {
-			clean, cs := cam.Search(q, nil)
-			faulty, fs := cam.searchOracle(q, nil)
-			if clean != faulty || cs != fs {
-				t.Fatalf("mode %v query %d: nil overlay %d/%+v differs from clean %d/%+v",
-					mode, q, faulty, fs, clean, cs)
-			}
-			// An all-OK overlay is equally transparent.
-			ok, _ := searchUnder(t, cam, q, make([]RowFault, 8))
-			if ok != clean {
-				t.Fatalf("mode %v query %d: all-OK overlay %d differs from clean %d", mode, q, ok, clean)
-			}
+	cam := fillCAM(t, 8)
+	for q := uint64(0); q < 80; q += 7 {
+		clean, cs := cam.Search(q, nil)
+		faulty, fs := cam.searchOracle(q, nil)
+		if clean != faulty || cs != fs {
+			t.Fatalf("query %d: nil overlay %d/%+v differs from clean %d/%+v", q, faulty, fs, clean, cs)
+		}
+		// An all-OK overlay is equally transparent.
+		ok, _ := searchUnder(t, cam, q, make([]RowFault, 8))
+		if ok != clean {
+			t.Fatalf("query %d: all-OK overlay %d differs from clean %d", q, ok, clean)
 		}
 	}
 }
 
 func TestSearchFaultyDeadRowsAreSkipped(t *testing.T) {
-	for _, mode := range []Mode{Hamming, Weighted} {
-		cam := fillCAM(t, mode, 4)
-		// Query 21 is nearest row 2 (=20); kill row 2 and the search must
-		// fall to the next-nearest live row.
-		rf := make([]RowFault, 4)
-		rf[2] = RowDead
-		got, _ := searchUnder(t, cam, 21, rf)
-		if got == 2 {
-			t.Fatalf("mode %v: dead row still won", mode)
-		}
-		want, _ := func() (int, Stats) {
-			// Reference: search a CAM without row 2.
-			ref := New(dev(), 16, mode)
-			ref.Write(0)
-			ref.Write(10)
-			ref.Write(30)
-			return ref.Search(21, nil)
-		}()
-		// Map the reference index back (rows 0,1 map directly; 2 → 3).
-		if want == 2 {
-			want = 3
-		}
-		if got != want {
-			t.Fatalf("mode %v: dead-row search won row %d, want %d", mode, got, want)
-		}
+	cam := fillCAM(t, 4)
+	// Query 21 is nearest row 2 (=20); kill row 2 and the search must fall
+	// to the next-nearest live row.
+	rf := make([]RowFault, 4)
+	rf[2] = RowDead
+	got, _ := searchUnder(t, cam, 21, rf)
+	if got == 2 {
+		t.Fatal("dead row still won")
+	}
+	// Reference: search a CAM without row 2.
+	ref := New(dev(), 16)
+	ref.Write(0)
+	ref.Write(10)
+	ref.Write(30)
+	want, _ := ref.Search(21, nil)
+	// Map the reference index back (rows 0,1 map directly; 2 → 3).
+	if want == 2 {
+		want = 3
+	}
+	if got != want {
+		t.Fatalf("dead-row search won row %d, want %d", got, want)
 	}
 }
 
 func TestSearchFaultyShortRowAlwaysWins(t *testing.T) {
-	for _, mode := range []Mode{Hamming, Weighted} {
-		cam := fillCAM(t, mode, 6)
-		rf := make([]RowFault, 6)
-		rf[4] = RowShort
-		for q := uint64(0); q < 60; q += 5 {
-			if got, _ := searchUnder(t, cam, q, rf); got != 4 {
-				t.Fatalf("mode %v query %d: shorted row lost to %d", mode, q, got)
-			}
+	cam := fillCAM(t, 6)
+	rf := make([]RowFault, 6)
+	rf[4] = RowShort
+	for q := uint64(0); q < 60; q += 5 {
+		if got, _ := searchUnder(t, cam, q, rf); got != 4 {
+			t.Fatalf("query %d: shorted row lost to %d", q, got)
 		}
-		// Two shorts: the lowest index is sensed first.
-		rf[1] = RowShort
-		if got, _ := searchUnder(t, cam, 55, rf); got != 1 {
-			t.Fatalf("mode %v: lowest shorted row must win, got %d", mode, got)
-		}
+	}
+	// Two shorts: the lowest index is sensed first.
+	rf[1] = RowShort
+	if got, _ := searchUnder(t, cam, 55, rf); got != 1 {
+		t.Fatalf("lowest shorted row must win, got %d", got)
 	}
 }
 
 func TestSearchFaultyAllDeadLatchesDefaultRow(t *testing.T) {
-	cam := fillCAM(t, Weighted, 3)
+	cam := fillCAM(t, 3)
 	rf := []RowFault{RowDead, RowDead, RowDead}
 	if got, _ := searchUnder(t, cam, 25, rf); got != 0 {
 		t.Fatalf("all-dead CAM latched row %d, want the default row 0", got)
@@ -101,7 +92,7 @@ func TestSearchFaultyAllDeadLatchesDefaultRow(t *testing.T) {
 // A short overlay (fewer entries than rows) leaves the uncovered tail
 // healthy — the overlay is per-row state, not a length contract.
 func TestSearchFaultyShortOverlay(t *testing.T) {
-	cam := fillCAM(t, Weighted, 6)
+	cam := fillCAM(t, 6)
 	rf := []RowFault{RowDead} // only row 0 annotated
 	if got, _ := searchUnder(t, cam, 48, rf); got != 5 {
 		t.Fatalf("short overlay search won %d, want 5", got)
@@ -111,7 +102,7 @@ func TestSearchFaultyShortOverlay(t *testing.T) {
 // The overlay search must charge the same cycles/energy as the clean one:
 // faults change which line is sensed, not how many lines are driven.
 func TestSearchFaultyStatsUnchanged(t *testing.T) {
-	cam := fillCAM(t, Weighted, 8)
+	cam := fillCAM(t, 8)
 	_, clean := cam.Search(33, nil)
 	rf := make([]RowFault, 8)
 	rf[0], rf[3] = RowDead, RowShort

@@ -7,8 +7,8 @@ import (
 )
 
 // randomCAM builds a CAM with n random patterns of the given width.
-func randomCAM(rng *rand.Rand, mode Mode, bits, n int) *NDCAM {
-	cam := New(dev(), bits, mode)
+func randomCAM(rng *rand.Rand, bits, n int) *NDCAM {
+	cam := New(dev(), bits)
 	mask := uint64(1)<<bits - 1
 	for i := 0; i < n; i++ {
 		cam.Write(rng.Uint64() & mask)
@@ -20,40 +20,36 @@ func randomCAM(rng *rand.Rand, mode Mode, bits, n int) *NDCAM {
 // search takes on the pristine inference path; it must not allocate.
 func TestSearchStatsZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, mode := range []Mode{Hamming, Weighted} {
-		cam := randomCAM(rng, mode, 16, 64)
-		q := rng.Uint64() & 0xFFFF
-		allocs := testing.AllocsPerRun(200, func() {
-			cam.Search(q, nil)
-		})
-		if allocs != 0 {
-			t.Fatalf("%v fault-free Search allocates %v per op, want 0", mode, allocs)
-		}
+	cam := randomCAM(rng, 16, 64)
+	q := rng.Uint64() & 0xFFFF
+	allocs := testing.AllocsPerRun(200, func() {
+		cam.Search(q, nil)
+	})
+	if allocs != 0 {
+		t.Fatalf("fault-free Search allocates %v per op, want 0", allocs)
 	}
 }
 
 // The pristine fast loop and the oracle's candidate-list walk must be the same
 // search. An all-RowOK overlay is semantically fault-free but still walks the
 // oracle's candidates, so comparing the two pins the fast loop — including the
-// Weighted mode's stage-pipeline-equals-integer-argmin identity — against the
-// reference implementation on random banks and queries.
+// stage-pipeline-equals-integer-argmin identity — against the reference
+// implementation on random banks and queries.
 func TestSearchPristineMatchesCandidatePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, mode := range []Mode{Hamming, Weighted} {
-		for trial := 0; trial < 300; trial++ {
-			bits := 1 + rng.Intn(24)
-			cam := randomCAM(rng, mode, bits, 1+rng.Intn(40))
-			allOK := make([]RowFault, cam.Len())
-			q := rng.Uint64()
-			fastRow, fastStats := cam.Search(q, nil)
-			slowRow, slowStats := cam.searchOracle(q, allOK)
-			if fastRow != slowRow {
-				t.Fatalf("%v trial %d (bits=%d, rows=%d): fast path row %d, candidate path row %d",
-					mode, trial, bits, cam.Len(), fastRow, slowRow)
-			}
-			if fastStats != slowStats {
-				t.Fatalf("%v trial %d: stats diverge: %+v vs %+v", mode, trial, fastStats, slowStats)
-			}
+	for trial := 0; trial < 300; trial++ {
+		bits := 1 + rng.Intn(24)
+		cam := randomCAM(rng, bits, 1+rng.Intn(40))
+		allOK := make([]RowFault, cam.Len())
+		q := rng.Uint64()
+		fastRow, fastStats := cam.Search(q, nil)
+		slowRow, slowStats := cam.searchOracle(q, allOK)
+		if fastRow != slowRow {
+			t.Fatalf("trial %d (bits=%d, rows=%d): fast path row %d, candidate path row %d",
+				trial, bits, cam.Len(), fastRow, slowRow)
+		}
+		if fastStats != slowStats {
+			t.Fatalf("trial %d: stats diverge: %+v vs %+v", trial, fastStats, slowStats)
 		}
 	}
 }

@@ -2,40 +2,20 @@
 // §4.2.2 (Fig. 8). Cells operate inversely to a conventional CAM — a match
 // discharges the match line — so the row with the most matched bits
 // discharges fastest and a simple sense amplifier finds the nearest-Hamming
-// row. For precise search, access transistors are sized 2× per bit position,
-// making the discharge current proportional to the binary weight of matched
-// bits; with 8-bit pipeline stages searched from the most significant bits
-// down, the winning row is the one minimizing the bit-weighted mismatch —
-// an in-memory approximation of smallest absolute distance.
+// row. For precise search, the only search modelled here, access transistors
+// are sized 2× per bit position, making the discharge current proportional to
+// the binary weight of matched bits; with 8-bit pipeline stages searched from
+// the most significant bits down, the winning row is the one minimizing the
+// bit-weighted mismatch — an in-memory approximation of smallest absolute
+// distance.
 package ndcam
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/device"
 )
-
-// Mode selects the search semantics.
-type Mode int
-
-const (
-	// Hamming finds the row with the fewest mismatched bits (uniform access
-	// transistors).
-	Hamming Mode = iota
-	// Weighted sizes access transistors by bit significance and searches
-	// stage-by-stage from the MSBs: the winner minimizes the mismatch
-	// pattern interpreted as an integer, approximating absolute distance.
-	Weighted
-)
-
-func (m Mode) String() string {
-	if m == Hamming {
-		return "hamming"
-	}
-	return "weighted"
-}
 
 // Stats accumulates search activity.
 type Stats struct {
@@ -50,7 +30,6 @@ type NDCAM struct {
 	dev       device.Params
 	bits      int
 	stageBits int
-	mode      Mode
 	rows      []uint64
 	Stats     Stats
 }
@@ -58,11 +37,11 @@ type NDCAM struct {
 // New creates an empty NDCAM for patterns of the given bit width. Widths are
 // searched in 8-bit pipeline stages, the widest group HSPICE showed to be
 // reliably distinguishable under process variation (§4.2.2).
-func New(dev device.Params, bitWidth int, mode Mode) *NDCAM {
+func New(dev device.Params, bitWidth int) *NDCAM {
 	if bitWidth < 1 || bitWidth > 64 {
 		panic(fmt.Sprintf("ndcam: bit width %d out of [1,64]", bitWidth))
 	}
-	return &NDCAM{dev: dev, bits: bitWidth, stageBits: 8, mode: mode}
+	return &NDCAM{dev: dev, bits: bitWidth, stageBits: 8}
 }
 
 // Write appends a pattern row and returns its index.
@@ -103,10 +82,10 @@ const (
 	RowShort
 )
 
-// Search returns the index of the stored row nearest the query under the
-// configured mode, together with the activity of this one search. fm is the
-// compiled row-fault overlay (BuildFaultMask); nil searches the fault-free
-// bank. Under an overlay a shorted row discharges before any genuine match,
+// Search returns the index of the stored row with the smallest bit-weighted
+// mismatch to the query, together with the activity of this one search. fm
+// is the compiled row-fault overlay (BuildFaultMask); nil searches the
+// fault-free bank. Under an overlay a shorted row discharges before any genuine match,
 // so the lowest-indexed shorted row wins outright, and dead rows are excluded
 // from sensing; if every row is excluded the sense amplifier latches its
 // default, row 0. Faults change which line is sensed, not how many are
@@ -131,8 +110,8 @@ func (n *NDCAM) Search(query uint64, fm *FaultMask) (int, Stats) {
 
 // searchPristine is the fault-free search: with every row sensing, no
 // candidate bookkeeping is needed, so the scan is a single allocation-free
-// loop. For the Weighted mode this relies on the stage pipeline being an
-// integer comparison in disguise: the stages minimize the per-stage XOR
+// loop. It relies on the stage pipeline being an integer comparison in
+// disguise: the stages minimize the per-stage XOR
 // chunks lexicographically from the MSBs, and concatenating those chunks
 // MSB-first reconstructs the full XOR word — so the stage-pipelined winner
 // is exactly the row minimizing rows[i]^query as an integer, ties to the
@@ -140,15 +119,6 @@ func (n *NDCAM) Search(query uint64, fm *FaultMask) (int, Stats) {
 func (n *NDCAM) searchPristine(query uint64) int {
 	query &= n.mask()
 	best := 0
-	if n.mode == Hamming {
-		bestD := math.MaxInt
-		for i, row := range n.rows {
-			if d := bits.OnesCount64(row ^ query); d < bestD {
-				best, bestD = i, d
-			}
-		}
-		return best
-	}
 	bestX := uint64(math.MaxUint64)
 	for i, row := range n.rows {
 		if x := row ^ query; x < bestX {

@@ -2,7 +2,6 @@ package ndcam
 
 import (
 	"math"
-	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,37 +12,14 @@ import (
 func dev() device.Params { return device.Default() }
 
 func TestExactMatchWinsBothModes(t *testing.T) {
-	for _, mode := range []Mode{Hamming, Weighted} {
-		cam := New(dev(), 16, mode)
-		patterns := []uint64{3, 500, 1000, 40000, 65535}
-		for _, p := range patterns {
-			cam.Write(p)
-		}
-		for i, p := range patterns {
-			if got, _ := cam.Search(p, nil); got != i {
-				t.Fatalf("mode %v: Search(%d) = row %d, want %d", mode, p, got, i)
-			}
-		}
-	}
-}
-
-func TestHammingMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	cam := New(dev(), 32, Hamming)
-	var patterns []uint64
-	for i := 0; i < 64; i++ {
-		p := rng.Uint64() & 0xFFFFFFFF
-		patterns = append(patterns, p)
+	cam := New(dev(), 16)
+	patterns := []uint64{3, 500, 1000, 40000, 65535}
+	for _, p := range patterns {
 		cam.Write(p)
 	}
-	for trial := 0; trial < 200; trial++ {
-		q := rng.Uint64() & 0xFFFFFFFF
-		got, _ := cam.Search(q, nil)
-		bestD := bits.OnesCount64(patterns[got] ^ q)
-		for _, p := range patterns {
-			if d := bits.OnesCount64(p ^ q); d < bestD {
-				t.Fatalf("Search(%x) chose HD %d, but %d exists", q, bestD, d)
-			}
+	for i, p := range patterns {
+		if got, _ := cam.Search(p, nil); got != i {
+			t.Fatalf("Search(%d) = row %d, want %d", p, got, i)
 		}
 	}
 }
@@ -54,7 +30,7 @@ func TestHammingMatchesBruteForce(t *testing.T) {
 func TestWeightedMinimizesWeightedXor(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		cam := New(dev(), 24, Weighted)
+		cam := New(dev(), 24)
 		var patterns []uint64
 		for i := 0; i < 1+rng.Intn(40); i++ {
 			p := rng.Uint64() & 0xFFFFFF
@@ -84,7 +60,7 @@ func TestWeightedApproximatesAbsoluteDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	agree, total := 0, 0
 	for trial := 0; trial < 300; trial++ {
-		cam := New(dev(), 16, Weighted)
+		cam := New(dev(), 16)
 		var patterns []uint64
 		for i := 0; i < 32; i++ {
 			p := uint64(rng.Intn(1 << 16))
@@ -126,7 +102,7 @@ func absDiff(a, b uint64) uint64 {
 }
 
 func TestSearchTieBreaksToFirstRow(t *testing.T) {
-	cam := New(dev(), 8, Weighted)
+	cam := New(dev(), 8)
 	cam.Write(10)
 	cam.Write(10)
 	if got, _ := cam.Search(10, nil); got != 0 {
@@ -137,15 +113,15 @@ func TestSearchTieBreaksToFirstRow(t *testing.T) {
 func TestStages(t *testing.T) {
 	cases := map[int]int{8: 1, 9: 2, 16: 2, 24: 3, 32: 4, 64: 8}
 	for width, want := range cases {
-		if got := New(dev(), width, Weighted).Stages(); got != want {
+		if got := New(dev(), width).Stages(); got != want {
 			t.Errorf("Stages(width %d) = %d, want %d", width, got, want)
 		}
 	}
 }
 
 func TestSearchCostsScaleWithRows(t *testing.T) {
-	small := New(dev(), 32, Weighted)
-	big := New(dev(), 32, Weighted)
+	small := New(dev(), 32)
+	big := New(dev(), 32)
 	for i := 0; i < 8; i++ {
 		small.Write(uint64(i))
 	}
@@ -168,7 +144,7 @@ func TestSearchEmptyPanics(t *testing.T) {
 			t.Fatal("empty search did not panic")
 		}
 	}()
-	New(dev(), 8, Weighted).Search(0, nil)
+	New(dev(), 8).Search(0, nil)
 }
 
 func TestFixedPointRoundTrip(t *testing.T) {
@@ -214,7 +190,7 @@ func TestFixedPointMonotoneProperty(t *testing.T) {
 // the same row the exact software nearest-search would in almost all cases.
 func TestNDCAMActivationLookupAgreement(t *testing.T) {
 	fp := NewFixedPoint(-8, 8, 16)
-	cam := New(dev(), 16, Weighted)
+	cam := New(dev(), 16)
 	ys := make([]float64, 64)
 	for i := range ys {
 		ys[i] = -8 + 16*float64(i)/63
@@ -254,7 +230,7 @@ func TestNDCAMActivationLookupAgreement(t *testing.T) {
 }
 
 func BenchmarkWeightedSearch64Rows(b *testing.B) {
-	cam := New(dev(), 32, Weighted)
+	cam := New(dev(), 32)
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 64; i++ {
 		cam.Write(rng.Uint64() & 0xFFFFFFFF)

@@ -1,17 +1,14 @@
 package ndcam
 
-import (
-	"math"
-	"math/bits"
-)
+import "math"
 
 // searchOracle is the scalar row-fault walk that Search is pinned against.
 // It classifies every row on every search: a shorted row wins outright, dead
 // rows drop out of the candidate list, and the survivors go through the
-// stage-by-stage weighted search (or the Hamming scan). rf[i], when i is in
-// range, is row i's failure state; rows beyond the overlay are healthy, and a
-// nil or empty overlay is the fault-free search. If every row is excluded the
-// sense amplifier latches its default, row 0.
+// stage-by-stage weighted search. rf[i], when i is in range, is row i's
+// failure state; rows beyond the overlay are healthy, and a nil or empty
+// overlay is the fault-free search. If every row is excluded the sense
+// amplifier latches its default, row 0.
 func (n *NDCAM) searchOracle(query uint64, rf []RowFault) (int, Stats) {
 	if len(n.rows) == 0 {
 		panic("ndcam: search on empty CAM")
@@ -39,15 +36,6 @@ func (n *NDCAM) searchOracle(query uint64, rf []RowFault) (int, Stats) {
 		return 0, stats
 	}
 	query &= n.mask()
-	if n.mode == Hamming {
-		best, bestD := cand[0], math.MaxInt
-		for _, i := range cand {
-			if d := bits.OnesCount64(n.rows[i] ^ query); d < bestD {
-				best, bestD = i, d
-			}
-		}
-		return best, stats
-	}
 	return n.searchWeighted(query, cand), stats
 }
 

@@ -273,41 +273,14 @@ func (r *FuncRNA) readProduct(idx int) int64 {
 // stream of the same read event.
 const checkSeedSalt = 0x5ca1ab1e
 
-// searchActCAM / searchEncCAM route the NDCAM searches through the
-// batch-scoped lookup cache (when the owning scratch has it armed) and the
-// row-fault overlay. Without TMR the primary copy's faults apply directly;
-// with TMR the three independently drawn copies vote 2-of-3 — bypassing the
-// cache so the vote counters keep their per-search semantics — and a
-// three-way disagreement falls back to the median row index; codebook rows
-// are ordinal, so the median is the least-wrong arbiter. Safe for concurrent
-// use (one goroutine per Scratch).
-func (r *FuncRNA) searchActCAM(q uint64, s *Scratch) int {
-	return r.cachedSearch(r.actCAM, true, r.actKey, q, s)
-}
-
-func (r *FuncRNA) searchEncCAM(q uint64, s *Scratch) int {
-	return r.cachedSearch(r.encCAM, false, r.encKey, q, s)
-}
-
-// cachedSearch memoizes searchCAM per (CAM, query) in the scratch's
-// batch-scoped cache. The search result is a pure function of the CAM
-// contents and the fault overlay, both frozen for a batch, so a hit is
-// exact; search Stats are not affected because the inference path discards
-// them (activation/encoder searches charge nothing to crossbar totals).
-func (r *FuncRNA) cachedSearch(cam *ndcam.NDCAM, activation bool, key uint32, q uint64, s *Scratch) int {
-	if !s.camOn || r.prot.TMR {
-		return r.searchCAM(cam, activation, q)
-	}
-	if row, ok := s.camLookup(key, q); ok {
-		s.camHits++
-		return row
-	}
-	row := r.searchCAM(cam, activation, q)
-	s.camStore(key, q, row)
-	s.camMisses++
-	return row
-}
-
+// searchCAM runs one activation (activation true) or encoder NDCAM search
+// under the block's row-fault overlay. Without TMR the primary copy's faults
+// apply directly; with TMR the three independently drawn copies vote 2-of-3,
+// and a three-way disagreement falls back to the median row index; codebook
+// rows are ordinal, so the median is the least-wrong arbiter. The search
+// Stats are discarded: activation and encoder searches charge nothing to the
+// crossbar totals. It mutates only the atomic fault counters, so any number
+// of goroutines may search at once.
 func (r *FuncRNA) searchCAM(cam *ndcam.NDCAM, activation bool, q uint64) int {
 	f := r.flt
 	if f == nil || !f.camRows {

@@ -36,10 +36,6 @@ type FuncRNA struct {
 	encCAM *ndcam.NDCAM
 	encFP  ndcam.FixedPoint
 
-	// actKey/encKey are the process-unique identities of this block's CAMs in
-	// the batch-scoped lookup cache (camcache.go).
-	actKey, encKey uint32
-
 	// Fault overlay and protection (faults.go). flt == nil is the pristine
 	// fast path; prot's zero value is the unprotected design; cnt is nil-safe.
 	flt  *faultState
@@ -75,11 +71,10 @@ func NewFuncRNAShared(dev *device.Params, wcb, ucb []float32,
 	// The pristine path only ever reads the table (fault injection is an
 	// overlay, faults.go), so a read-only mapping is safe to borrow.
 	r := &FuncRNA{dev: dev, products: products, nW: len(wcb), nU: len(ucb), actTable: actTable}
-	r.actKey, r.encKey = nextCAMKeys()
 	if actTable != nil {
 		lo, hi := float64(actTable.Y[0]), float64(actTable.Y[len(actTable.Y)-1])
 		r.actFP = ndcam.NewFixedPoint(lo, hi, 16)
-		r.actCAM = ndcam.New(*dev, 16, ndcam.Weighted)
+		r.actCAM = ndcam.New(*dev, 16)
 		for _, y := range actTable.Y {
 			r.actCAM.Write(r.actFP.Encode(float64(y)))
 		}
@@ -89,7 +84,7 @@ func NewFuncRNAShared(dev *device.Params, wcb, ucb []float32,
 		hi = lo + 1
 	}
 	r.encFP = ndcam.NewFixedPoint(lo, hi, 16)
-	r.encCAM = ndcam.New(*dev, 16, ndcam.Weighted)
+	r.encCAM = ndcam.New(*dev, 16)
 	for _, v := range nextCodebook {
 		r.encCAM.Write(r.encFP.Encode(float64(v)))
 	}
@@ -169,19 +164,19 @@ func (r *FuncRNA) AccumulateBiasScratch(wOff []int32, inputIdx []int, bias int64
 
 // activate applies the activation stage: an NDCAM table search, or the ReLU
 // comparator (§4.2.1).
-func (r *FuncRNA) activate(pre float64, s *Scratch) float64 {
+func (r *FuncRNA) activate(pre float64) float64 {
 	if r.actTable == nil {
 		if pre > 0 {
 			return pre
 		}
 		return 0
 	}
-	row := r.searchActCAM(r.actFP.Encode(pre), s)
+	row := r.searchCAM(r.actCAM, true, r.actFP.Encode(pre))
 	return float64(r.actTable.Z[row])
 }
 
 // encodeValue maps an activation output onto the consuming layer's codebook
 // through the encoder NDCAM (§2.2, Fig. 2d) and returns its codebook index.
-func (r *FuncRNA) encodeValue(z float64, s *Scratch) int {
-	return r.searchEncCAM(r.encFP.Encode(z), s)
+func (r *FuncRNA) encodeValue(z float64) int {
+	return r.searchCAM(r.encCAM, false, r.encFP.Encode(z))
 }

@@ -29,8 +29,7 @@ func hotNeuron() (*FuncRNA, []int32, []int) {
 
 // BenchmarkNeuronFire measures one end-to-end neuron evaluation — counting,
 // shift-add expansion, NOR addition, NDCAM activation and encoding — on a
-// caller-owned Scratch with the CAM cache off, and reports the edges it
-// accumulates per second. This is the innermost unit of work of every
+// caller-owned Scratch, and reports the edges it accumulates per second. This is the innermost unit of work of every
 // hardware inference; its allocs/op govern GC pressure at serving scale.
 func BenchmarkNeuronFire(b *testing.B) {
 	r, wOff, ui := hotNeuron()

@@ -20,7 +20,7 @@ import (
 // encoded output index and the crossbar activity.
 func fire(r *FuncRNA, wOff []int32, ui []int, bias int64, s *Scratch) (int, crossbar.Stats) {
 	pre, st := r.AccumulateBiasScratch(wOff, ui, bias, s)
-	return r.encodeValue(r.activate(pre, s), s), st
+	return r.encodeValue(r.activate(pre)), st
 }
 
 // offsets resolves weight-codebook indices into the row offsets the kernel
@@ -174,7 +174,7 @@ func TestAccumulatePanicLeavesScratchClean(t *testing.T) {
 // search finds the largest. It returns the winning index and the CAM's write
 // and search activity — the walk poolCAMStats prices in closed form.
 func maxPoolOracle(r *FuncRNA, cb []float32, win []int) (int, crossbar.Stats) {
-	cam := ndcam.New(*r.dev, 16, ndcam.Weighted)
+	cam := ndcam.New(*r.dev, 16)
 	for _, e := range win {
 		cam.Write(r.encFP.Encode(float64(cb[e])))
 	}

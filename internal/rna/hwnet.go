@@ -325,9 +325,6 @@ type netObs struct {
 	reads  *obs.Counter
 	writes *obs.Counter
 	energy *obs.FloatCounter
-	// Batch-scoped CAM cache effectiveness (camcache.go).
-	camHits   *obs.Counter
-	camMisses *obs.Counter
 }
 
 // Instrument registers this network's inference and substrate counters in
@@ -342,23 +339,7 @@ func (h *HardwareNetwork) Instrument(reg *obs.Registry, labels ...obs.Label) {
 		reads:  reg.Counter("rapidnn_rna_substrate_reads_total", "Crossbar reads spent by the hardware path.", labels...),
 		writes: reg.Counter("rapidnn_rna_substrate_writes_total", "Crossbar writes spent by the hardware path.", labels...),
 		energy: reg.FloatCounter("rapidnn_rna_substrate_energy_joules_total", "Substrate energy spent by the hardware path.", labels...),
-		camHits: reg.Counter("rapidnn_rna_cam_cache_hits_total",
-			"Activation/encoder CAM searches served from the batch-scoped lookup cache.", labels...),
-		camMisses: reg.Counter("rapidnn_rna_cam_cache_misses_total",
-			"Activation/encoder CAM searches that ran against the NDCAM and were memoized.", labels...),
 	}
-}
-
-// foldCAMObs harvests one scratch's CAM-cache hit/miss tallies into the
-// registry counters; a nop on an uninstrumented network. Counters are atomic,
-// so concurrent workers harvest without coordination.
-func (h *HardwareNetwork) foldCAMObs(s *Scratch) {
-	o := h.nobs
-	if o == nil {
-		return
-	}
-	o.camHits.Add(s.camHits)
-	o.camMisses.Add(s.camMisses)
 }
 
 // foldObs bumps the registry counters for n classified inputs; a nop on an
@@ -429,7 +410,7 @@ func (h *HardwareNetwork) inferOne(x []float32, s *Scratch) (int, crossbar.Stats
 				for j := range hNext {
 					pre, st := r.AccumulateBiasScratch(hl.wOff[j], feed, hl.biasFixed[j], s)
 					stats = addStats(stats, st)
-					hNext[j] = r.encodeValue(r.activate(pre, s), s)
+					hNext[j] = r.encodeValue(r.activate(pre))
 				}
 				hState, hNext = hNext, hState
 			}
@@ -504,9 +485,9 @@ func (h *HardwareNetwork) inferOne(x []float32, s *Scratch) (int, crossbar.Stats
 					case hl.skip:
 						// Residual: the skipped encoded input re-enters through
 						// the input FIFO and adds before encoding (§4.3).
-						nxt[n] = r.encodeValue(r.activate(pre, s)+float64(inCB[enc[n]]), s)
+						nxt[n] = r.encodeValue(r.activate(pre) + float64(inCB[enc[n]]))
 					default:
-						nxt[n] = r.encodeValue(r.activate(pre, s), s)
+						nxt[n] = r.encodeValue(r.activate(pre))
 					}
 				}
 			}
@@ -574,18 +555,15 @@ func (h *HardwareNetwork) InferBatchStats(x *tensor.Tensor) ([]int, crossbar.Sta
 	preds := make([]int, n)
 	stats := make([]crossbar.Stats, n)
 	// Each share claims rows one at a time and owns one Scratch for all of
-	// them: every per-input buffer — and the batch-scoped CAM lookup cache —
-	// is reused across its rows with no sharing between shares, and the
-	// arena goes back to the pool (cache disarmed) when the batch drains.
+	// them: every per-input buffer is reused across its rows with no sharing
+	// between shares, and the arena goes back to the pool when the batch
+	// drains.
 	var claimed atomic.Int64
 	share := func() {
 		s := scratchPool.Get().(*Scratch)
-		s.enableCAMCache()
 		for i := int(claimed.Add(1) - 1); i < n; i = int(claimed.Add(1) - 1) {
 			preds[i], stats[i] = h.inferOne(data[i*h.inSize:(i+1)*h.inSize], s)
 		}
-		h.foldCAMObs(s)
-		s.disableCAMCache()
 		scratchPool.Put(s)
 	}
 	var wg sync.WaitGroup

@@ -79,7 +79,6 @@ func edgeLists(l nn.Layer, p *composer.LayerPlan) []neuronEdges {
 // It handles networks of dense and conv layers only.
 func walkEdges(h *HardwareNetwork, lists [][]neuronEdges, x []float32) (int, crossbar.Stats) {
 	var stats crossbar.Stats
-	s := NewScratch()
 	enc := make([]int, len(x))
 	for i, v := range x {
 		enc[i] = cluster.Assign(h.layers[0].plan.InputCodebook, v)
@@ -101,11 +100,11 @@ func walkEdges(h *HardwareNetwork, lists [][]neuronEdges, x []float32) (int, cro
 				}
 				continue
 			}
-			z := r.activate(pre, s)
+			z := r.activate(pre)
 			if hl.skip {
 				z += float64(hl.plan.InputCodebook[enc[n]])
 			}
-			nxt[n] = r.encodeValue(z, s)
+			nxt[n] = r.encodeValue(z)
 		}
 		enc = nxt
 	}

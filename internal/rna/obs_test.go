@@ -3,6 +3,7 @@ package rna
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/composer"
@@ -84,6 +85,62 @@ func TestHardwareNetworkInstrument(t *testing.T) {
 	}
 	if e := hw.nobs.energy.Value(); e != total.EnergyJ {
 		t.Fatalf("energy counter %v vs Stats.EnergyJ %v", e, total.EnergyJ)
+	}
+}
+
+// Concurrent instrumented InferBatchStats calls, each fanning out over its
+// own workers and scratches, share nothing but the network and its atomic
+// counters: every call answers bit-identically to the serial path, and the
+// counters fold every row of every call. This is the race-detector target
+// for concurrent batches on one instrumented network (make race).
+func TestInstrumentedInferBatchConcurrent(t *testing.T) {
+	hw := tracedHW(t)
+	reg := obs.NewRegistry()
+	hw.Instrument(reg)
+
+	rng := rand.New(rand.NewSource(33))
+	const n, in, calls = 24, 10, 3
+	data := make([]float32, n*in)
+	for i := range data {
+		data[i] = float32(rng.NormFloat64())
+	}
+	batch := tensor.FromSlice(data, n, in)
+
+	serial := tracedHW(t)
+	serial.Workers = 1
+	wantPreds, wantStats, err := serial.InferBatchStats(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	hw.Workers = 4
+	var wg sync.WaitGroup
+	for g := 0; g < calls; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			preds, stats, err := hw.InferBatchStats(batch)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if stats != wantStats {
+				t.Errorf("concurrent batch stats %+v differ from serial %+v", stats, wantStats)
+			}
+			for i := range preds {
+				if preds[i] != wantPreds[i] {
+					t.Errorf("prediction %d is %d, serial says %d", i, preds[i], wantPreds[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := hw.nobs.infers.Value(); got != calls*n {
+		t.Fatalf("inference counter %d after %d concurrent %d-row batches", got, calls, n)
+	}
+	if got := hw.nobs.cycles.Value(); int64(got) != calls*wantStats.Cycles {
+		t.Fatalf("cycle counter %d, want %d", got, calls*wantStats.Cycles)
 	}
 }
 

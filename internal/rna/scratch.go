@@ -10,9 +10,9 @@ import (
 // Scratch is the per-worker working set of the hot inference path. Every
 // buffer the pipeline needs between two neuron fires — the counting
 // histogram and its list of touched slots, the in-memory adder's price memo,
-// the batch-scoped CAM lookup cache, and the per-input activation buffers of
-// the network executor — lives here, so a worker that owns one Scratch
-// evaluates neurons and whole inputs without allocating in steady state.
+// and the per-input activation buffers of the network executor — lives here,
+// so a worker that owns one Scratch evaluates neurons and whole inputs
+// without allocating in steady state.
 //
 // Ownership rules: a Scratch is NOT safe for concurrent use — it is the
 // mutable state the read-only FuncRNA blocks and NDCAM searches are kept
@@ -31,15 +31,6 @@ type Scratch struct {
 	// Stats marks an unpriced count: every addition writes its operands.
 	prices   []crossbar.Stats
 	priceDev *device.Params
-
-	// Batch-scoped CAM lookup cache (camcache.go): activation and encoder
-	// searches within one batch repeat heavily, so the batch drivers enable
-	// this per-worker memo for their scratch's lifetime. Off (camOn false)
-	// on a fresh scratch until a batch driver arms it.
-	camCache           []camCacheEntry
-	camGen             uint32
-	camOn              bool
-	camHits, camMisses uint64
 
 	// Network executor (inferOne): ping-pong activation buffers, a conv
 	// layer's gathered windows, and the recurrent state/feed buffers.

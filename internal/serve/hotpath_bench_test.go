@@ -9,7 +9,8 @@ import (
 // batcher and the hardware execution path — submit, coalesce, infer, reply —
 // the per-request cost a serving worker pays before any network I/O. Unlike
 // BenchmarkServeBatching (open-loop latency under offered load) this is the
-// allocation/throughput view the hot-path regression harness tracks.
+// allocation/throughput view the hot-path regression harness tracks; it
+// reports the rows answered per second.
 func BenchmarkServeRoundTrip(b *testing.B) {
 	m := syntheticModel(b, true)
 	infer, err := m.inferFn(PathHardware)
@@ -30,4 +31,5 @@ func BenchmarkServeRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
