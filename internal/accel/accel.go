@@ -127,21 +127,20 @@ func Simulate(name string, plans []*composer.LayerPlan, macs int64, cfg Config) 
 	r.RNAsAvailable = cfg.Chips * dev.RNAsPerChip()
 
 	// Allocate RNA blocks per layer and accumulate per-input work. The stage
-	// cycle counts come from the shared stage-cost helper (stagecost.go) so
-	// this analytic model, the event simulator and the compilation pass
-	// price stages identically.
-	for _, st := range DefaultStages(plans, cfg) {
+	// cycle counts, the block demand and the pipeline fold come from the
+	// shared stage-cost helpers (stagecost.go) so this analytic model, the
+	// event simulator and the compilation pass price stages identically.
+	stages := DefaultStages(plans, cfg)
+	for _, st := range stages {
 		p := st.Plan
 		perInput := cm.NeuronCost(p)
 		perInput.ScaleInPlace(int64(p.Neurons))
-		lr := LayerReport{
+		r.Layers = append(r.Layers, LayerReport{
 			Name: p.Name, Kind: p.Kind, Neurons: p.Neurons,
 			RNABlocks: st.Blocks,
 			Cycles:    st.BaseCycles(cm, cfg.ShareOverlap),
 			Breakdown: perInput,
-		}
-		r.Layers = append(r.Layers, lr)
-		r.RNAsRequired += st.TotalBlocks()
+		})
 		r.Breakdown.Add(perInput)
 	}
 
@@ -154,17 +153,9 @@ func Simulate(name string, plans []*composer.LayerPlan, macs int64, cfg Config) 
 
 	// Capacity: when the network exceeds the RNA population, stages are
 	// time-multiplexed — latency stretches and tables must be re-programmed.
-	r.Multiplex = 1
-	if r.RNAsRequired > r.RNAsAvailable {
-		r.Multiplex = float64(r.RNAsRequired) / float64(r.RNAsAvailable)
-	}
-	for _, lr := range r.Layers {
-		c := multiplexCycles(lr.Cycles, r.Multiplex)
-		r.LatencyCycles += c
-		if c > r.PipelineCycles {
-			r.PipelineCycles = c
-		}
-	}
+	r.RNAsRequired = RequiredBlocks(stages)
+	r.Multiplex = MultiplexFactor(stages, cfg)
+	r.PipelineCycles, r.LatencyCycles = AnalyticPipeline(stages, cfg)
 	if r.PipelineCycles == 0 {
 		// Degenerate stages (e.g. zero-neuron plans) would make ThroughputIPS
 		// +Inf and poison GOPS/EnergyPerInputPeakJ downstream.

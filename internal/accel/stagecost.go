@@ -118,25 +118,20 @@ func MultiplexFactor(stages []StageSpec, cfg Config) float64 {
 	return float64(required) / float64(available)
 }
 
-// multiplexCycles applies the multiplex stretch to a stage cycle count,
-// rounding up — the formula Simulate and the event simulator share.
-func multiplexCycles(cycles int64, mult float64) int64 {
-	if mult <= 1 {
-		return cycles
-	}
-	return int64(math.Ceil(float64(cycles) * mult))
-}
-
 // StageCycleCounts expands a stage list into per-sub-stage cycle counts with
-// multiplexing applied: stage i contributes Replicas_i consecutive entries.
-// This is exactly the stage sequence the event simulator executes and the
-// analytic model folds (II = max entry, latency = Σ entries).
+// multiplexing applied (the stretch rounds up): stage i contributes
+// Replicas_i consecutive entries. This is exactly the stage sequence the
+// event simulator executes and the analytic model folds (II = max entry,
+// latency = Σ entries).
 func StageCycleCounts(stages []StageSpec, cfg Config) []int64 {
 	cm := rna.CostModel{Dev: cfg.Dev}
 	mult := MultiplexFactor(stages, cfg)
 	var out []int64
 	for _, st := range stages {
-		sub := multiplexCycles(st.SubCycles(cm, cfg.ShareOverlap), mult)
+		sub := st.SubCycles(cm, cfg.ShareOverlap)
+		if mult > 1 {
+			sub = int64(math.Ceil(float64(sub) * mult))
+		}
 		r := st.Replicas
 		if r < 1 {
 			r = 1

@@ -232,7 +232,6 @@ func (p Protection) Overhead(crossbarRows int) Overhead {
 type Counters struct {
 	// Parity events per protected product read.
 	Corrected     atomic.Int64 // single-bit error corrected to the true word
-	Detected      atomic.Int64 // non-zero syndrome observed (any severity)
 	Uncorrectable atomic.Int64 // double-bit error: detected, not corrected
 	// Spare-row repair events (counted once per repair pass).
 	Remapped       atomic.Int64 // faulty words remapped to spare rows
@@ -244,7 +243,8 @@ type Counters struct {
 	TransientFlips atomic.Int64
 }
 
-// Snapshot is a plain-value copy of the counters for reporting.
+// Snapshot is a plain-value copy of the counters for reporting. Detected,
+// every read whose syndrome was non-zero, is Corrected + Uncorrectable.
 type Snapshot struct {
 	Corrected, Detected, Uncorrectable int64
 	Remapped, SpareShortfall           int64
@@ -254,10 +254,11 @@ type Snapshot struct {
 
 // Snapshot copies the current counter values.
 func (c *Counters) Snapshot() Snapshot {
+	corrected, uncorrectable := c.Corrected.Load(), c.Uncorrectable.Load()
 	return Snapshot{
-		Corrected:        c.Corrected.Load(),
-		Detected:         c.Detected.Load(),
-		Uncorrectable:    c.Uncorrectable.Load(),
+		Corrected:        corrected,
+		Detected:         corrected + uncorrectable,
+		Uncorrectable:    uncorrectable,
 		Remapped:         c.Remapped.Load(),
 		SpareShortfall:   c.SpareShortfall.Load(),
 		TMRVotes:         c.TMRVotes.Load(),
@@ -269,7 +270,6 @@ func (c *Counters) Snapshot() Snapshot {
 // Reset zeroes every counter.
 func (c *Counters) Reset() {
 	c.Corrected.Store(0)
-	c.Detected.Store(0)
 	c.Uncorrectable.Store(0)
 	c.Remapped.Store(0)
 	c.SpareShortfall.Store(0)

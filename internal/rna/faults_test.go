@@ -188,8 +188,9 @@ func TestFuncRNAOverlayProperties(t *testing.T) {
 	}
 
 	// Protection first, injection second: reconcile must still repair.
-	r.SetProtection(fault.Protection{SpareRows: len(wcb) * len(ucb)}, nil)
-	if rep := r.injectFaults(fault.Config{StuckRate: 0.5}, rand.New(rand.NewSource(faultTestSeed)), nil); rep.StuckBits == 0 {
+	var cnt fault.Counters
+	r.SetProtection(fault.Protection{SpareRows: len(wcb) * len(ucb)}, &cnt)
+	if rep := r.injectFaults(fault.Config{StuckRate: 0.5}, rand.New(rand.NewSource(faultTestSeed)), &cnt); rep.StuckBits == 0 {
 		t.Fatal("50% stuck rate drew nothing")
 	}
 	for wi := range pristine {
@@ -205,7 +206,7 @@ func TestFuncRNAOverlayProperties(t *testing.T) {
 	}
 
 	// Without spares the overlay applies — and re-reads are idempotent.
-	r.SetProtection(fault.Protection{}, nil)
+	r.SetProtection(fault.Protection{}, &cnt)
 	corrupted := false
 	for wi := range pristine {
 		for ui := range pristine[wi] {

@@ -37,7 +37,8 @@ type FuncRNA struct {
 	encFP  ndcam.FixedPoint
 
 	// Fault overlay and protection (faults.go). flt == nil is the pristine
-	// fast path; prot's zero value is the unprotected design; cnt is nil-safe.
+	// fast path; prot's zero value is the unprotected design; cnt, set by
+	// injection and by SetProtection, receives their events.
 	flt  *faultState
 	prot fault.Protection
 	cnt  *fault.Counters
@@ -139,11 +140,11 @@ func (r *FuncRNA) AccumulateBiasScratch(wOff []int32, inputIdx []int, bias int64
 
 	// 2–3. Shift-add expansion and NOR addition (§4.1.2): each count c of
 	// product p contributes c·p to the sum and Weight(c) terms to the adder.
-	// A pristine block reads its table directly; one with a fault overlay or
-	// parity reads through readProduct.
+	// A block whose reads cannot be corrupted reads its table directly; one
+	// with stored code words reads through readProduct.
 	var sum uint32
 	operands := 1 // the bias
-	if r.flt == nil && !r.prot.Parity {
+	if r.flt == nil || r.flt.cells == nil {
 		products := r.products[:size]
 		for _, idx := range touched {
 			c := counts[idx]

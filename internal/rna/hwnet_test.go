@@ -311,10 +311,12 @@ func TestInferBatchMatchesSerialInfer(t *testing.T) {
 // BenchmarkHardwareInferBatch measures the hardware-in-the-loop batch at
 // 1, 2 and GOMAXPROCS workers (each count once), on a dense net (the
 // workers=N rungs), on a conv + max-pool + dense net (conv/workers=N), whose
-// conv neurons own most of a hardware run, and on the untrained reduced
-// CIFAR conv net of the end-to-end bulk-conv workload (cifar/workers=N), so
-// a change to the conv kernel can be sized in-process. The wall time should
-// fall as workers rise toward GOMAXPROCS while
+// conv neurons own most of a hardware run, on the untrained reduced CIFAR
+// conv net of the end-to-end bulk-conv workload (cifar/workers=N), so a
+// change to the conv kernel can be sized in-process, and on the untrained
+// reduced MNIST net of bulk-faults under its fault scenario
+// (faults/workers=N), so a change to the faulty product read can be too. The
+// wall time should fall as workers rise toward GOMAXPROCS while
 // TestInferBatchMatchesSerialInfer pins the results.
 func BenchmarkHardwareInferBatch(b *testing.B) {
 	ds := dataset.Generate(dataset.Config{
@@ -368,6 +370,25 @@ func BenchmarkHardwareInferBatch(b *testing.B) {
 	}
 	fbatch := tensor.FromSlice(fx, cn, fhw.InSize())
 
+	// The faults rung: bulk-faults' layer shapes (the fully-connected MNIST
+	// net at an eighth of its width) on synthetic 16×16 codebooks, 16 rows,
+	// under its seeded stuck-at cells and dead CAM rows with parity, 4 spare
+	// rows and TMR.
+	mnist := model.FCNet("MNIST", 784, 10, 0.125, 50)
+	qhw, err := BuildHardwareNetwork(mnist, composer.SyntheticPlans(mnist, 16, 16, 16), dev())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := qhw.InjectFaults(fault.Config{StuckRate: 5e-3, CAMRowRate: 0.25, CAMShortFrac: 0.001, Seed: 1}); err != nil {
+		b.Fatal(err)
+	}
+	qhw.SetProtection(fault.Protection{Parity: true, SpareRows: 4, TMR: true})
+	qx := make([]float32, cn*qhw.InSize())
+	for i := range qx {
+		qx[i] = 2*rng.Float32() - 1
+	}
+	qbatch := tensor.FromSlice(qx, cn, qhw.InSize())
+
 	counts := []int{1, 2}
 	if p := runtime.GOMAXPROCS(0); p > 2 {
 		counts = append(counts, p)
@@ -394,6 +415,10 @@ func BenchmarkHardwareInferBatch(b *testing.B) {
 	for _, workers := range counts {
 		fhw.Workers = workers
 		rung(fmt.Sprintf("cifar/workers=%d", workers), fhw, fbatch, cn)
+	}
+	for _, workers := range counts {
+		qhw.Workers = workers
+		rung(fmt.Sprintf("faults/workers=%d", workers), qhw, qbatch, cn)
 	}
 }
 
