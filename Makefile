@@ -46,11 +46,17 @@ race:
 		./internal/obs/... ./internal/fleet/... ./internal/chaos/... \
 		./internal/accel/... ./internal/nn/...
 
-# Robustness gate: fuzz the RAPIDNN2 artifact reader with a short budget.
-# The seed corpus (a valid artifact plus truncations/corruptions) is built
-# in-test; the contract is "never panic, return a model xor an error".
+# Robustness gate: fuzz the RAPIDNN2 artifact reader and the predict-body
+# decoders with a short budget each. The artifact seeds (a valid artifact
+# plus truncations/corruptions) are built in-test; the contract is "never
+# panic, return a model xor an error". The predict-body decoders must accept
+# exactly what encoding/json accepts and decode the same values. Their seeds
+# include 10 and 20 KB bodies, whose new-coverage mutants the fuzzer would
+# otherwise spend up to a minute each minimizing, so minimizing is capped.
 fuzz:
 	go test -run '^FuzzLoadFlat$$' -fuzz '^FuzzLoadFlat$$' -fuzztime 15s ./internal/composer/
+	go test -run '^FuzzPredictBody$$' -fuzz '^FuzzPredictBody$$' -fuzztime 15s \
+		-fuzzminimizetime 200x ./internal/serve/
 
 # Scaling check: batched hardware inference at several worker counts.
 # On a multi-core host the ns/op should fall as workers approach GOMAXPROCS;

@@ -225,29 +225,24 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// predictEnvelope is the slice of the predict body the router reads; the
-// body is forwarded verbatim, so unknown fields pass through untouched.
-type predictEnvelope struct {
-	Model  string `json:"model"`
-	Tenant string `json:"tenant"`
-}
-
 func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
+	// The body is forwarded verbatim, so unknown fields pass through. It is
+	// not pooled: a hedge or retry may still be sending it when forward
+	// returns on the first answer.
+	body, err := serve.ReadBody(w, r, nil)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading request: %v", err)
 		return
 	}
-	var env predictEnvelope
-	if err := json.Unmarshal(body, &env); err != nil {
+	model, tenant, err := serve.PredictEnvelope(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	tenant := env.Tenant
 	if t := r.Header.Get(serve.TenantHeader); t != "" {
 		tenant = t
 	}
@@ -282,7 +277,6 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	model := env.Model
 	if model == "" {
 		// Mirror the single-model convenience of the backends: when the
 		// whole fleet serves exactly one model, requests may omit it.

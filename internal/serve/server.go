@@ -344,8 +344,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req predictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err := dec.Decode(&req); err != nil {
+	row0, bp := firstRows.Get().(*[]float32), bodies.Get().(*[]byte)
+	body, err := ReadBody(w, r, *bp)
+	if err == nil {
+		req, err = decodePredict(body, *row0)
+	}
+	if *bp = body[:0]; cap(body) <= maxPooled { // every value is copied out
+		bodies.Put(bp)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
@@ -454,6 +461,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			}(i, row)
 		}
 		wg.Wait()
+	}
+	// Row 0 is pooled again unless the dispatcher may still copy it into a
+	// batch, as it may after a context error.
+	if e := errs[0]; (e == nil || errors.Is(e, ErrQueueFull) || errors.Is(e, ErrClosed)) &&
+		cap(req.Inputs[0]) <= maxPooled/4 { // 4 bytes a float32
+		*row0 = req.Inputs[0][:0]
+		firstRows.Put(row0)
 	}
 	for _, err := range errs {
 		if err == nil {
